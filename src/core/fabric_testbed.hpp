@@ -32,7 +32,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "openflow/channel.hpp"
-#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "switchd/switch.hpp"
 #include "topo/routing.hpp"
@@ -87,17 +86,6 @@ struct FabricConfig {
   double control_link_mbps = 1000.0;
   sim::SimTime control_link_delay = sim::SimTime::microseconds(300);
   std::uint64_t seed = 1;
-  // Shard count for the parallel engine. 0 or 1 builds the fabric on a single
-  // event queue (the legacy sequential Simulator — byte-identical to builds
-  // that predate sharding). With n >= 2 shards, shard 0 holds the controller
-  // and every switch lands on shard 1 + (i % (n-1)); hosts live with their
-  // edge switch so access links never cross shards. Determinism contract:
-  // results at a fixed shard count are bit-identical across repeats and
-  // thread counts; different shard counts agree on the delivered multiset.
-  unsigned shards = 0;
-  // Worker threads for the sharded engine (ignored when shards <= 1). Any
-  // value yields bit-identical results; > 1 adds wall-clock parallelism.
-  unsigned shard_threads = 1;
   // Per-switch invariant observers: empty (no checking) or exactly one entry
   // per switch, indexed by switch index. Owned by the caller.
   std::vector<verify::InvariantObserver*> observers;
@@ -107,10 +95,8 @@ struct FabricConfig {
   std::vector<LinkFaultSpec> link_faults;
   std::vector<SwitchCrashSpec> switch_crashes;
   // In-fabric telemetry plane (DESIGN.md §15): drop-attribution ledger + INT
-  // harvest. Owned by the caller; null = off. The observatory is a single
-  // shared aggregate, so sharded runs with an observatory must execute on
-  // one thread (run_fabric_experiment enforces this). Per-switch INT and
-  // sampling knobs live in switch_config.
+  // harvest. Owned by the caller; null = off. Per-switch INT and sampling
+  // knobs live in switch_config.
   obs::FabricObservatory* observatory = nullptr;
 };
 
@@ -124,14 +110,9 @@ class FabricTestbed {
   // Sends `packet` from host `host_index` up its access link into the fabric.
   void inject_from_host(unsigned host_index, const net::Packet& packet);
 
-  // Shard 0's simulator: the only event queue when shards <= 1, and the
-  // controller's shard otherwise. Sequential-era call sites keep working;
-  // sharded drivers advance time through engine() instead.
+  // The one event queue every switch, link, channel, host and the
+  // controller schedule on.
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
-  [[nodiscard]] sim::ShardedSimulator& engine() { return engine_; }
-  [[nodiscard]] unsigned n_shards() const { return engine_.n_shards(); }
-  [[nodiscard]] unsigned shard_of_switch(unsigned index) const { return switch_shard_.at(index); }
-  [[nodiscard]] unsigned shard_of_host(unsigned index) const { return host_shard_.at(index); }
   [[nodiscard]] const topo::Topology& topology() const { return topo_; }
   [[nodiscard]] const topo::Router& router() const { return *router_; }
   [[nodiscard]] FabricRouting routing() const { return routing_; }
@@ -170,10 +151,9 @@ class FabricTestbed {
   // (untracked warm-up flows excluded) — the cross-mode equality check's
   // input.
   [[nodiscard]] std::vector<verify::PayloadId> delivered_payloads() const;
-  // Injection-to-delivery latency of each flow's first packet (ms): the
-  // fabric-scale flow setup delay measure. Per-shard sample sets merged in
-  // shard order (deterministic at a fixed shard count).
-  [[nodiscard]] util::Samples first_packet_ms() const;
+  // Injection-to-delivery latency of each flow's first packet (ms), in
+  // delivery order: the fabric-scale flow setup delay measure.
+  [[nodiscard]] const util::Samples& first_packet_ms() const { return first_packet_ms_; }
 
   [[nodiscard]] sim::SimTime measurement_start() const { return measurement_start_; }
 
@@ -191,21 +171,11 @@ class FabricTestbed {
   void wire_ports();
   void arm_link_faults(const std::vector<LinkFaultSpec>& faults);
   void arm_switch_crashes(const std::vector<SwitchCrashSpec>& crashes);
-  [[nodiscard]] sim::Simulator& shard_sim(unsigned shard) { return engine_.shard(shard); }
 
-  // Delivery records are written by host-delivery closures, which run on the
-  // delivering edge switch's shard — so each shard writes only its own slot
-  // and the merge order is fixed by shard index, not thread interleaving.
-  struct ShardDeliveries {
-    std::vector<verify::PayloadId> delivered;
-    util::Samples first_packet_ms;
-  };
-
-  sim::ShardedSimulator engine_;
-  sim::Simulator& sim_;  // shard 0
+  // Declared first so it is destroyed last: every component below keeps a
+  // reference to it.
+  sim::Simulator sim_;
   topo::Topology topo_;
-  std::vector<unsigned> switch_shard_;  // shard index per switch
-  std::vector<unsigned> host_shard_;    // shard index per host (= edge switch's)
   FabricRouting routing_;
   std::vector<std::unique_ptr<host::HostSink>> sinks_;
   std::unique_ptr<ctrl::Controller> controller_;
@@ -226,7 +196,9 @@ class FabricTestbed {
   // Fault schedules live here because the links hold raw pointers into them.
   std::vector<std::unique_ptr<net::LinkFaultSchedule>> fault_schedules_;
   sim::SimTime last_fault_clear_;
-  std::vector<ShardDeliveries> shard_deliveries_;  // one slot per shard
+  // Host deliveries of tracked flows since reset_statistics().
+  std::vector<verify::PayloadId> delivered_;
+  util::Samples first_packet_ms_;
   sim::SimTime measurement_start_;
 };
 

@@ -75,8 +75,8 @@ struct PregeneratedEmission {
 // is self-contained (arrivals schedule arrivals, emissions schedule
 // emissions; nothing in the network feeds back into it), so replaying it on
 // a scratch simulator reproduces the exact draw sequence — and therefore the
-// exact packets and timestamps — of an inline run. Sharded fabric drivers
-// use this to schedule each emission directly on its source host's shard.
+// exact packets and timestamps — of an inline run. Benchmarks use it as an
+// oracle: a fabric run must deliver exactly the pregenerated payloads.
 struct PregeneratedTraffic {
   std::vector<PregeneratedEmission> emissions;  // in emission-time order
   std::uint64_t flows_started = 0;

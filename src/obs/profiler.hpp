@@ -40,8 +40,8 @@ class EventLoopProfiler final : public sim::ProfileSink {
   void write_report(std::ostream& out, std::size_t top_n = 10) const;
 
   // Folds another profiler's rows into this one (tags merge by content).
-  // Sharded runs keep one profiler per shard — a sink shared across shards
-  // would race under worker threads — and merge them after the run.
+  // Runs profiled separately — one profiler per simulation, e.g. per sweep
+  // cell — merge into one attribution table after the fact.
   void merge_from(const EventLoopProfiler& other);
 
   void reset();

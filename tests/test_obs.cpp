@@ -211,6 +211,25 @@ TEST(EventLoopProfiler, AttributesEventsToOutermostTag) {
   EXPECT_EQ(prof.total_events(), 0u);
 }
 
+TEST(Profiler, MergeFoldsRows) {
+  obs::EventLoopProfiler a;
+  obs::EventLoopProfiler b;
+  a.on_event("switch", 0.010);
+  a.on_event("switch", 0.002);
+  a.on_event("link", 0.001);
+  b.on_event("switch", 0.004);
+  b.on_event("channel", 0.003);
+  a.merge_from(b);
+  EXPECT_EQ(a.total_events(), 5u);
+  EXPECT_NEAR(a.total_seconds(), 0.020, 1e-12);
+  const auto rows = a.table();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].tag, "switch");
+  EXPECT_EQ(rows[0].events, 3u);
+  EXPECT_NEAR(rows[0].total_s, 0.016, 1e-12);
+  EXPECT_NEAR(rows[0].max_s, 0.010, 1e-12);
+}
+
 // --- FlowTracer ------------------------------------------------------------
 
 TEST(FlowTracer, SamplingIsDeterministicAndSeeded) {

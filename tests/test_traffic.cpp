@@ -12,6 +12,8 @@
 #include "host/sink.hpp"
 #include "host/synthetic_workload.hpp"
 #include "host/traffic_gen.hpp"
+#include "host/traffic_matrix.hpp"
+#include "topo/topology.hpp"
 #include "util/rng.hpp"
 
 namespace sdnbuf::host {
@@ -316,6 +318,50 @@ TEST(SyntheticWorkload, DistinctSourceAddressesPerFlow) {
   std::set<std::uint32_t> ips;
   for (const auto& [flow, ip] : flow_src) ips.insert(ip);
   EXPECT_EQ(ips.size(), flow_src.size());
+}
+
+// --- pregenerated traffic matrix ---
+
+// pregenerate_traffic_matrix is the fabric benchmark's oracle for what a run
+// must deliver, so it has to reproduce the inline workload's emissions
+// exactly: same source, flow, sequence number and emission time, in order.
+TEST(TrafficMatrix, PregeneratedMatchesInlineEmissions) {
+  TrafficMatrixConfig config;
+  for (unsigned h = 0; h < 8; ++h) {
+    config.host_macs.push_back(topo::Topology::host_mac(h));
+    config.host_ips.push_back(topo::Topology::host_ip(h));
+  }
+  config.incast_target = 2;
+  config.duration_s = 0.2;
+  config.flow_arrival_per_s = 400.0;
+  config.max_packets = 20;
+  for (const auto pattern :
+       {TrafficPattern::AllToAll, TrafficPattern::Permutation, TrafficPattern::Incast}) {
+    config.pattern = pattern;
+    const std::uint64_t seed = 7919u * 5 + 3;
+    sim::Simulator sim;
+    std::vector<PregeneratedEmission> inline_emissions;
+    TrafficMatrixWorkload gen{sim, config, seed, [&](unsigned src, const net::Packet& p) {
+                                inline_emissions.push_back(PregeneratedEmission{sim.now(), src, p});
+                              }};
+    gen.start();
+    sim.run();
+    const PregeneratedTraffic pre = pregenerate_traffic_matrix(config, seed);
+
+    const char* name = traffic_pattern_name(pattern);
+    ASSERT_GT(inline_emissions.size(), 100u) << name;
+    EXPECT_EQ(pre.flows_started, gen.flows_started()) << name;
+    EXPECT_EQ(pre.emissions.size(), gen.packets_emitted()) << name;
+    ASSERT_EQ(pre.emissions.size(), inline_emissions.size()) << name;
+    for (std::size_t i = 0; i < inline_emissions.size(); ++i) {
+      const PregeneratedEmission& a = inline_emissions[i];
+      const PregeneratedEmission& b = pre.emissions[i];
+      ASSERT_EQ(a.src_host, b.src_host) << name << " emission " << i;
+      ASSERT_EQ(a.packet.flow_id, b.packet.flow_id) << name << " emission " << i;
+      ASSERT_EQ(a.packet.seq_in_flow, b.packet.seq_in_flow) << name << " emission " << i;
+      ASSERT_EQ(a.when, b.when) << name << " emission " << i;
+    }
+  }
 }
 
 // --- bounded-Pareto flow-size distribution ---
