@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/chain_testbed.hpp"
+#include "core/testbed.hpp"
 #include "host/traffic_gen.hpp"
 #include "util/csv.hpp"
 
@@ -24,11 +24,11 @@ struct ChainResult {
 };
 
 ChainResult run_chain(unsigned hops, sw::BufferMode mode, std::uint64_t seed) {
-  core::ChainConfig config;
+  core::TestbedConfig config;
   config.n_switches = hops;
   config.switch_config.buffer_mode = mode;
   config.seed = seed;
-  core::ChainTestbed bed{config};
+  core::Testbed bed{config};
   bed.warm_up();
 
   host::TrafficConfig traffic;
@@ -50,8 +50,8 @@ ChainResult run_chain(unsigned hops, sw::BufferMode mode, std::uint64_t seed) {
   bed.sim().run();
 
   ChainResult r;
-  r.pkt_ins = bed.total_pkt_ins();
-  r.control_bytes = bed.total_control_bytes();
+  r.pkt_ins = bed.fabric().total_pkt_ins();
+  r.control_bytes = bed.fabric().total_control_bytes();
   r.first_packet_ms = bed.sink2().latency_ms().mean();  // 1 packet per flow
   r.delivered = bed.sink2().packets_received();
   return r;

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
                  std::to_string(ctrl_config.rule_idle_timeout_s) + " s"});
   table.add_row({"Host1/Host2", "access links",
                  util::format_rate_bps(config.host_link_mbps * 1e6) + " / " +
-                     config.host_link_delay.to_string() + " delay"});
+                     config.link_delay.to_string() + " delay"});
   table.add_row({"control path", "link",
                  util::format_rate_bps(config.control_link_mbps * 1e6) + " / " +
                      config.control_link_delay.to_string() + " delay"});

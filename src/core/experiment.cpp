@@ -98,29 +98,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
                                              : config.tracer;
   }
 
-  // Drop-attribution ledger: a FateObserver adapter joins the observer chain
-  // (injections + terminal fates); deliveries arrive via the sink taps below
-  // so duplicates collapse to one first-copy delivery per payload.
-  std::optional<obs::FateObserver> fate;
-  std::optional<obs::TeeObserver> fate_tee;
-  if (config.observatory != nullptr) {
-    fate.emplace(*config.observatory, "s1", /*endpoint_injections=*/true);
-    if (tb.observer != nullptr) {
-      fate_tee.emplace(tb.observer, &*fate);
-      tb.observer = &*fate_tee;
-    } else {
-      tb.observer = &*fate;
-    }
-  }
+  tb.observatory = config.observatory;
 
   Testbed bed{tb};
-  if (config.observatory != nullptr) {
-    auto tap = [obsy = config.observatory](const net::Packet& p, sim::SimTime now) {
-      obsy->on_delivered(p, now);
-    };
-    bed.sink1().set_telemetry_tap(tap);
-    bed.sink2().set_telemetry_tap(tap);
-  }
   if (config.capture != nullptr) config.capture->attach(bed.channel());
   if (config.profiler != nullptr) bed.sim().set_profile_sink(config.profiler);
   bed.warm_up();
@@ -164,8 +144,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // out of events.
   bed.sim().run_until(bed.sim().now() + sim::SimTime::milliseconds(50));
   if (snapshotter) snapshotter->stop();
-  bed.ovs().stop();
-  bed.controller().stop();
+  bed.stop();
   bed.sim().run();
   if (config.tracer != nullptr) config.tracer->finalize(bed.sim().now());
   if (config.metrics != nullptr) {

@@ -33,8 +33,9 @@ struct ExperimentConfig {
 
   std::uint64_t seed = 1;
 
-  // Platform (cost models, link speeds); mode/buffer_capacity/seed above
-  // override the corresponding switch_config fields.
+  // Platform (cost models, link speeds, chain length); mode,
+  // buffer_capacity, seed, observer and observatory here override the
+  // corresponding testbed fields.
   TestbedConfig testbed;
 
   // Extra simulated time allowed for the tail of the run to drain.

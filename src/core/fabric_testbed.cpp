@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "metrics/delay_recorder.hpp"
 #include "util/check.hpp"
@@ -17,23 +18,23 @@ const char* fabric_routing_name(FabricRouting routing) {
   return "unknown";
 }
 
-FabricTestbed::FabricTestbed(const FabricConfig& config)
-    : topo_(config.topology), routing_(config.routing), observers_(config.observers) {
+FabricTestbed::FabricTestbed(FabricConfig config)
+    : topo_(std::move(config.topology)),
+      routing_(config.routing),
+      chain_(std::move(config.observers)) {
   topo_.validate();
-  SDNBUF_CHECK_MSG(observers_.empty() || observers_.size() == topo_.n_switches(),
+  SDNBUF_CHECK_MSG(chain_.empty() || chain_.size() == topo_.n_switches(),
                    "observers must be empty or one per switch");
 
-  for (unsigned h = 0; h < topo_.n_hosts(); ++h) {
-    sinks_.push_back(std::make_unique<host::HostSink>(sim_));
-  }
+  sinks_.reserve(topo_.n_hosts());
+  for (unsigned h = 0; h < topo_.n_hosts(); ++h) sinks_.emplace_back(sim_);
+  data_links_.reserve(topo_.n_links());
 
-  // Construction order mirrors the original hand-wired chain exactly —
-  // controller, all data links, then per switch [switch, control link,
-  // channel, connects] — so a chain-shaped fabric replays the chain
-  // testbed's event sequence bit for bit.
-  controller_ = std::make_unique<ctrl::Controller>(sim_, config.controller_config,
+  controller_ = std::make_unique<ctrl::Controller>(sim_, std::move(config.controller_config),
                                                    config.seed * 40503u + 1);
-  router_ = std::make_unique<topo::Router>(topo_, config.seed * 0xda942042e4dd58b5ULL + 7);
+  if (routing_ != FabricRouting::L2Learning) {
+    router_ = std::make_unique<topo::Router>(topo_, config.seed * 0xda942042e4dd58b5ULL + 7);
+  }
 
   for (std::size_t i = 0; i < topo_.n_links(); ++i) {
     const topo::Topology::Link& link = topo_.links()[i];
@@ -43,11 +44,10 @@ FabricTestbed::FabricTestbed(const FabricConfig& config)
   }
 
   for (unsigned i = 0; i < topo_.n_switches(); ++i) {
-    sw::SwitchConfig sw_config = config.switch_config;
-    sw_config.name = topo_.name(topo_.switch_id(i));
-    sw_config.datapath_id = i + 1;
-    switches_.push_back(
-        std::make_unique<sw::Switch>(sim_, sw_config, config.seed * 2654435761u + i));
+    config.switch_config.name = topo_.name(topo_.switch_id(i));
+    config.switch_config.datapath_id = i + 1;
+    switches_.push_back(std::make_unique<sw::Switch>(sim_, config.switch_config,
+                                                     config.seed * 2654435761u + i));
     control_links_.push_back(std::make_unique<net::DuplexLink>(
         sim_, "ctl" + std::to_string(i + 1), config.control_link_mbps * 1e6,
         config.control_link_delay));
@@ -58,24 +58,23 @@ FabricTestbed::FabricTestbed(const FabricConfig& config)
   }
 
   // Observer chains: per switch, the invariant registry (if any) teed with a
-  // FateObserver adapter into the shared observatory (if any). Injections
-  // into the observatory's global ledger are endpoint events only — the
-  // adapters pass endpoint_injections=false so cross-switch handoffs (which
-  // re-inject per-switch) do not double count; inject_from_host and the sink
-  // telemetry taps feed the global ledger directly.
+  // FateObserver adapter into the shared observatory (if any). The
+  // observatory's global ledger takes endpoint events only, so the adapters
+  // ignore injections (cross-switch handoffs re-inject per switch);
+  // inject_from_host and the sink telemetry taps feed the ledger directly.
   observatory_ = config.observatory;
-  chain_.resize(topo_.n_switches(), nullptr);
-  for (unsigned i = 0; i < topo_.n_switches(); ++i) {
-    chain_[i] = observers_.empty() ? nullptr : observers_[i];
-    if (observatory_ == nullptr) continue;
-    fate_adapters_.push_back(std::make_unique<obs::FateObserver>(
-        *observatory_, topo_.name(topo_.switch_id(i)), /*endpoint_injections=*/false));
-    if (chain_[i] != nullptr) {
-      fate_tees_.push_back(
-          std::make_unique<obs::TeeObserver>(chain_[i], fate_adapters_.back().get()));
-      chain_[i] = fate_tees_.back().get();
-    } else {
-      chain_[i] = fate_adapters_.back().get();
+  if (observatory_ != nullptr) {
+    chain_.resize(topo_.n_switches(), nullptr);
+    for (unsigned i = 0; i < topo_.n_switches(); ++i) {
+      fate_adapters_.push_back(
+          std::make_unique<obs::FateObserver>(*observatory_, topo_.name(topo_.switch_id(i))));
+      if (chain_[i] != nullptr) {
+        fate_tees_.push_back(
+            std::make_unique<obs::TeeObserver>(chain_[i], fate_adapters_.back().get()));
+        chain_[i] = fate_tees_.back().get();
+      } else {
+        chain_[i] = fate_adapters_.back().get();
+      }
     }
   }
 
@@ -83,13 +82,13 @@ FabricTestbed::FabricTestbed(const FabricConfig& config)
 
   if (observatory_ != nullptr) {
     for (unsigned h = 0; h < topo_.n_hosts(); ++h) {
-      sinks_[h]->set_telemetry_tap([obsy = observatory_](const net::Packet& p, sim::SimTime now) {
+      sinks_[h].set_telemetry_tap([obsy = observatory_](const net::Packet& p, sim::SimTime now) {
         obsy->on_delivered(p, now);
       });
     }
   }
 
-  for (unsigned i = 0; i < n_switches(); ++i) {
+  for (unsigned i = 0; i < chain_.size(); ++i) {
     verify::InvariantObserver* obs = chain_[i];
     if (obs == nullptr) continue;
     switches_[i]->set_invariant_observer(obs);
@@ -98,9 +97,13 @@ FabricTestbed::FabricTestbed(const FabricConfig& config)
         [obs](bool to_controller, const of::OfMessage& msg, std::size_t, sim::SimTime when) {
           obs->on_control_message(to_controller, msg, when);
         });
+    channels_[i]->set_fault_tap([obs](bool to_controller, const of::OfMessage& msg,
+                                      of::FaultKind kind, sim::SimTime when) {
+      obs->on_channel_fault(to_controller, msg, kind, when);
+    });
   }
 
-  if (routing_ != FabricRouting::L2Learning) {
+  if (router_ != nullptr) {
     controller_->enable_topology_routing(*router_, routing_ == FabricRouting::TopologyFullPath
                                                        ? ctrl::RouteInstallMode::FullPathInstall
                                                        : ctrl::RouteInstallMode::PerHopReactive);
@@ -175,14 +178,12 @@ void FabricTestbed::wire_ports() {
       if (topo_.is_host(adj.peer)) {
         const unsigned hi = topo_.index_of(adj.peer);
         switches_[si]->attach_port(adj.port, egress, [this, si, hi](const net::Packet& p) {
-          if (chain_[si] != nullptr) {
-            chain_[si]->on_packet_delivered(p, sim_.now());
-          }
+          if (auto* obs = observer_at(si)) obs->on_packet_delivered(p, sim_.now());
           if (p.flow_id != metrics::kUntrackedFlow) {
             delivered_.emplace_back(p.flow_id, p.seq_in_flow);
             if (p.seq_in_flow == 0) first_packet_ms_.add((sim_.now() - p.created_at).ms());
           }
-          sinks_[hi]->receive(p);
+          sinks_[hi].receive(p);
         });
       } else {
         const unsigned pi = topo_.index_of(adj.peer);
@@ -192,8 +193,8 @@ void FabricTestbed::wire_ports() {
           // Cross-switch handoff: the sender's registry closes its account,
           // the receiver's opens one (the observatory's fate adapters ignore
           // both — its ledger is endpoint-to-endpoint).
-          if (chain_[si] != nullptr) chain_[si]->on_packet_delivered(p, sim_.now());
-          if (chain_[pi] != nullptr) chain_[pi]->on_packet_injected(p, sim_.now());
+          if (auto* obs = observer_at(si)) obs->on_packet_delivered(p, sim_.now());
+          if (auto* obs = observer_at(pi)) obs->on_packet_injected(p, sim_.now());
           switches_[pi]->receive(peer_port, p);
         });
       }
@@ -208,17 +209,16 @@ void FabricTestbed::inject_from_host(unsigned host_index, const net::Packet& pac
   net::Link& uplink = topo_.links()[att.link].a == host ? link.forward() : link.reverse();
   const unsigned si = topo_.index_of(att.peer);
   if (observatory_ != nullptr) observatory_->on_injected(packet, sim_.now());
-  if (chain_[si] != nullptr) {
-    chain_[si]->on_packet_injected(packet, sim_.now());
-  }
+  verify::InvariantObserver* obs = observer_at(si);
+  if (obs != nullptr) obs->on_packet_injected(packet, sim_.now());
   const std::uint16_t in_port = att.peer_port;
   const auto sent = uplink.send_frame(
       packet.frame_size, [this, si, in_port, packet]() { switches_[si]->receive(in_port, packet); });
   if (sent != net::Link::SendResult::Sent) {
     // The injection was already opened in the switch's registry above; close
     // it so conservation still balances when the access link eats the frame.
-    if (chain_[si] != nullptr) {
-      chain_[si]->on_packet_dropped(
+    if (obs != nullptr) {
+      obs->on_packet_dropped(
           packet, sent == net::Link::SendResult::FaultDrop ? "link-down" : "link-queue",
           sim_.now());
     }
@@ -249,13 +249,13 @@ std::uint64_t FabricTestbed::total_control_msgs() const {
 
 std::uint64_t FabricTestbed::total_delivered() const {
   std::uint64_t n = 0;
-  for (const auto& s : sinks_) n += s->packets_received();
+  for (const auto& s : sinks_) n += s.packets_received();
   return n;
 }
 
 std::uint64_t FabricTestbed::total_duplicates() const {
   std::uint64_t n = 0;
-  for (const auto& s : sinks_) n += s->duplicate_packets();
+  for (const auto& s : sinks_) n += s.duplicate_packets();
   return n;
 }
 
@@ -365,8 +365,10 @@ void FabricTestbed::install_metrics(obs::MetricsRegistry& registry) {
   registry.register_poll("fabric.rules_invalidated", [this]() {
     return static_cast<double>(controller_->counters().rules_invalidated);
   });
-  registry.register_poll("fabric.links_down",
-                         [this]() { return static_cast<double>(router_->links_down()); });
+  if (router_ != nullptr) {
+    registry.register_poll("fabric.links_down",
+                           [this]() { return static_cast<double>(router_->links_down()); });
+  }
   const bool any_mmu = std::any_of(switches_.begin(), switches_.end(),
                                    [](const auto& s) { return s->mmu() != nullptr; });
   if (any_mmu) {
@@ -405,7 +407,7 @@ void FabricTestbed::reset_statistics() {
   controller_->reset_counters();
   if (controller_->flow_monitor() != nullptr) controller_->flow_monitor()->reset();
   if (observatory_ != nullptr) observatory_->reset();
-  for (auto& s : sinks_) s->reset();
+  for (auto& s : sinks_) s.reset();
   delivered_.clear();
   first_packet_ms_ = util::Samples{};
   measurement_start_ = sim_.now();

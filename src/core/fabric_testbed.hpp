@@ -5,12 +5,13 @@
 //                \    |    /
 //                 controller (one channel per switch)      (control plane)
 //
-// This generalizes the hand-wired ChainTestbed (now a thin wrapper over
-// `topo::make_chain`) to arbitrary validated fabrics: per-switch port maps
-// come straight from the topology, forwarding decisions from the seeded ECMP
-// `topo::Router`, and the controller can answer misses per hop (the paper's
-// reactive model multiplied across the path) or pre-install the whole path
-// on the first packet_in of a flow.
+// Every experiment runs on it: `core::Testbed` (the paper's Fig. 1 platform
+// and its multi-switch chains) is this class over `topo::make_chain` with L2
+// learning. Per-switch port maps come straight from the topology;
+// forwarding decisions come from controller MAC learning or from the seeded
+// ECMP `topo::Router`, and with topology routing the controller can answer
+// misses per hop (the paper's reactive model multiplied across the path) or
+// pre-install the whole path on the first packet_in of a flow.
 //
 // Per-switch observability: every switch, channel and the controller accept
 // their own `verify::InvariantObserver`, so fabric runs can keep one
@@ -44,7 +45,7 @@ namespace sdnbuf::core {
 // The forwarding application driving the fabric's controller.
 enum class FabricRouting {
   // Classic MAC learning with flooding — only safe on loop-free topologies
-  // (the chain); kept for ChainTestbed compatibility.
+  // (the chain core::Testbed builds).
   L2Learning,
   // topo::Router consulted per packet_in; every switch on the path misses
   // once per flow (reactive per-hop setup).
@@ -102,7 +103,8 @@ struct FabricConfig {
 
 class FabricTestbed {
  public:
-  explicit FabricTestbed(const FabricConfig& config);
+  // Takes the configuration by value: the topology is moved in, not copied.
+  explicit FabricTestbed(FabricConfig config);
 
   FabricTestbed(const FabricTestbed&) = delete;
   FabricTestbed& operator=(const FabricTestbed&) = delete;
@@ -114,7 +116,6 @@ class FabricTestbed {
   // controller schedule on.
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
   [[nodiscard]] const topo::Topology& topology() const { return topo_; }
-  [[nodiscard]] const topo::Router& router() const { return *router_; }
   [[nodiscard]] FabricRouting routing() const { return routing_; }
 
   // Frames lost to link outages, summed over both halves of every data link.
@@ -127,9 +128,13 @@ class FabricTestbed {
   [[nodiscard]] unsigned n_hosts() const { return static_cast<unsigned>(sinks_.size()); }
   [[nodiscard]] sw::Switch& switch_at(unsigned index) { return *switches_.at(index); }
   [[nodiscard]] of::Channel& channel_at(unsigned index) { return *channels_.at(index); }
+  // Switch `index`'s control link; forward() carries switch -> controller.
+  [[nodiscard]] net::DuplexLink& control_link_at(unsigned index) {
+    return *control_links_.at(index);
+  }
   [[nodiscard]] net::DuplexLink& data_link_at(std::size_t index) { return *data_links_.at(index); }
   [[nodiscard]] ctrl::Controller& controller() { return *controller_; }
-  [[nodiscard]] host::HostSink& sink_at(unsigned host_index) { return *sinks_.at(host_index); }
+  [[nodiscard]] host::HostSink& sink_at(unsigned host_index) { return sinks_.at(host_index); }
 
   // Sums across every switch / control channel.
   [[nodiscard]] std::uint64_t total_pkt_ins() const;
@@ -169,6 +174,9 @@ class FabricTestbed {
 
  private:
   void wire_ports();
+  [[nodiscard]] verify::InvariantObserver* observer_at(unsigned si) const {
+    return chain_.empty() ? nullptr : chain_[si];
+  }
   void arm_link_faults(const std::vector<LinkFaultSpec>& faults);
   void arm_switch_crashes(const std::vector<SwitchCrashSpec>& crashes);
 
@@ -177,18 +185,17 @@ class FabricTestbed {
   sim::Simulator sim_;
   topo::Topology topo_;
   FabricRouting routing_;
-  std::vector<std::unique_ptr<host::HostSink>> sinks_;
+  std::vector<host::HostSink> sinks_;  // reserved up front so addresses stay stable
   std::unique_ptr<ctrl::Controller> controller_;
-  std::unique_ptr<topo::Router> router_;
+  std::unique_ptr<topo::Router> router_;  // topology routing only
   std::vector<std::unique_ptr<net::DuplexLink>> data_links_;     // topology link order
   std::vector<std::unique_ptr<sw::Switch>> switches_;            // switch index order
   std::vector<std::unique_ptr<net::DuplexLink>> control_links_;  // per switch
   std::vector<std::unique_ptr<of::Channel>> channels_;           // per switch
-  std::vector<verify::InvariantObserver*> observers_;            // empty or per switch
   // Telemetry plane: per-switch fate adapters into the shared observatory,
   // teed with the per-switch registries when both are present. chain_[i] is
-  // the observer every wiring point for switch i actually talks to (null
-  // when neither a registry nor an observatory is attached).
+  // the observer every wiring point for switch i actually talks to; chain_
+  // is empty when neither registries nor an observatory are attached.
   obs::FabricObservatory* observatory_ = nullptr;
   std::vector<std::unique_ptr<obs::FateObserver>> fate_adapters_;
   std::vector<std::unique_ptr<obs::TeeObserver>> fate_tees_;

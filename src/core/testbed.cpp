@@ -1,5 +1,6 @@
 #include "core/testbed.hpp"
 
+#include "topo/topology.hpp"
 #include "util/check.hpp"
 
 namespace sdnbuf::core {
@@ -8,100 +9,71 @@ namespace {
 
 constexpr std::uint16_t kWarmupPort = 99;
 
+FabricConfig fabric_config(const TestbedConfig& config) {
+  SDNBUF_CHECK_MSG(config.observer == nullptr || config.n_switches == 1,
+                   "one invariant observer covers one switch; use FabricTestbed per-switch "
+                   "observers for longer chains");
+  // A sweep builds one testbed per cell; copying the Fig. 1 chain shares its
+  // graph instead of rebuilding it.
+  static const topo::Topology kFig1 = topo::make_chain(1);
+  return FabricConfig{
+      .topology = config.n_switches == 1 ? kFig1 : topo::make_chain(config.n_switches),
+      .routing = FabricRouting::L2Learning,
+      .switch_config = config.switch_config,
+      .controller_config = config.controller_config,
+      .host_link_mbps = config.host_link_mbps,
+      .inter_switch_mbps = config.inter_switch_mbps,
+      .link_delay = config.link_delay,
+      .control_link_mbps = config.control_link_mbps,
+      .control_link_delay = config.control_link_delay,
+      .seed = config.seed,
+      .observers = config.observer != nullptr
+                       ? std::vector<verify::InvariantObserver*>{config.observer}
+                       : std::vector<verify::InvariantObserver*>{},
+      .link_faults = {},
+      .switch_crashes = {},
+      .observatory = config.observatory,
+  };
+}
+
 }  // namespace
 
-Testbed::Testbed(const TestbedConfig& config) : sink1_(sim_), sink2_(sim_) {
-  host1_link_ = std::make_unique<net::DuplexLink>(sim_, "host1", config.host_link_mbps * 1e6,
-                                                  config.host_link_delay);
-  host2_link_ = std::make_unique<net::DuplexLink>(sim_, "host2", config.host_link_mbps * 1e6,
-                                                  config.host_link_delay);
-  control_link_ = std::make_unique<net::DuplexLink>(
-      sim_, "control", config.control_link_mbps * 1e6, config.control_link_delay);
-
-  channel_ = std::make_unique<of::Channel>(sim_, control_link_->forward(),
-                                           control_link_->reverse());
-
-  switch_ = std::make_unique<sw::Switch>(sim_, config.switch_config, config.seed * 2654435761u);
-  controller_ =
-      std::make_unique<ctrl::Controller>(sim_, config.controller_config, config.seed * 40503u + 1);
-  observer_ = config.observer;
-  fault_profile_ = config.fault_profile;
-  seed_ = config.seed;
-
-  // Egress wiring: the switch's port N link delivers to host N's sink.
-  switch_->attach_port(kHost1Port, host1_link_->reverse(), [this](const net::Packet& p) {
-    if (observer_ != nullptr) observer_->on_packet_delivered(p, sim_.now());
-    sink1_.receive(p);
-  });
-  switch_->attach_port(kHost2Port, host2_link_->reverse(), [this](const net::Packet& p) {
-    if (observer_ != nullptr) observer_->on_packet_delivered(p, sim_.now());
-    sink2_.receive(p);
-  });
-
-  switch_->connect(*channel_);
-  controller_->connect(*channel_);
-  if (observer_ != nullptr) {
-    switch_->set_invariant_observer(observer_);
-    controller_->set_invariant_observer(observer_);
-    channel_->set_verify_tap([obs = observer_](bool to_controller, const of::OfMessage& msg,
-                                               std::size_t, sim::SimTime when) {
-      obs->on_control_message(to_controller, msg, when);
-    });
-    channel_->set_fault_tap([obs = observer_](bool to_controller, const of::OfMessage& msg,
-                                              of::FaultKind kind, sim::SimTime when) {
-      obs->on_channel_fault(to_controller, msg, kind, when);
-    });
-  }
-  switch_->set_delay_recorder(&recorder_);
-  sink1_.set_delay_recorder(&recorder_);
-  sink2_.set_delay_recorder(&recorder_);
-  switch_->start();
-  controller_->start();
-}
-
-net::MacAddress Testbed::host1_mac() const { return net::MacAddress::from_index(1); }
-net::MacAddress Testbed::host2_mac() const { return net::MacAddress::from_index(2); }
-net::Ipv4Address Testbed::host1_ip() const { return net::Ipv4Address::from_octets(10, 1, 0, 1); }
-net::Ipv4Address Testbed::host2_ip() const { return net::Ipv4Address::from_octets(10, 2, 0, 1); }
-
-void Testbed::inject_from_host1(const net::Packet& packet) {
-  if (observer_ != nullptr) observer_->on_packet_injected(packet, sim_.now());
-  host1_link_->forward().send(packet.frame_size,
-                              [this, packet]() { switch_->receive(kHost1Port, packet); });
-}
-
-void Testbed::inject_from_host2(const net::Packet& packet) {
-  if (observer_ != nullptr) observer_->on_packet_injected(packet, sim_.now());
-  host2_link_->forward().send(packet.frame_size,
-                              [this, packet]() { switch_->receive(kHost2Port, packet); });
+Testbed::Testbed(const TestbedConfig& config)
+    : fabric_(fabric_config(config)), fault_profile_(config.fault_profile), seed_(config.seed) {
+  fabric_.switch_at(0).set_delay_recorder(&recorder_);
+  sink1().set_delay_recorder(&recorder_);
+  sink2().set_delay_recorder(&recorder_);
 }
 
 void Testbed::warm_up() {
   // Host2 speaks first: its packet floods (host1 still unknown) and teaches
-  // the controller host2@port2; then host1's packet teaches host1@port1 and
-  // is forwarded directly. Mirrors ARP-style startup chatter — including
-  // retries, so warm-up also succeeds under controller fault injection.
+  // every switch where host2 is; then host1's packet teaches host1's
+  // location and is forwarded directly. Mirrors ARP-style startup chatter —
+  // including retries, so warm-up also succeeds under controller fault
+  // injection.
+  sim::Simulator& sim = fabric_.sim();
+  const auto learned_everywhere = [this](const net::MacAddress& mac) {
+    for (unsigned i = 0; i < n_switches(); ++i) {
+      if (!controller().lookup_mac(mac, i + 1)) return false;
+    }
+    return true;
+  };
+  const net::MacAddress macs[2] = {host1_mac(), host2_mac()};
+  const net::Ipv4Address ips[2] = {host1_ip(), host2_ip()};
   std::uint16_t seq = 0;
-  for (int attempt = 0; attempt < 50 && !controller_->lookup_mac(host2_mac()); ++attempt) {
-    net::Packet p2 = net::make_udp_packet(host2_mac(), host1_mac(), host2_ip(), host1_ip(),
-                                          static_cast<std::uint16_t>(kWarmupPort + seq++),
-                                          kWarmupPort, 100);
-    p2.flow_id = metrics::kUntrackedFlow;
-    inject_from_host2(p2);
-    sim_.run_until(sim_.now() + sim::SimTime::milliseconds(50));
+  for (const unsigned h : {1u, 0u}) {
+    for (int attempt = 0; attempt < 50 && !learned_everywhere(macs[h]); ++attempt) {
+      net::Packet p = net::make_udp_packet(macs[h], macs[1 - h], ips[h], ips[1 - h],
+                                           static_cast<std::uint16_t>(kWarmupPort + seq++),
+                                           kWarmupPort, 100);
+      p.flow_id = metrics::kUntrackedFlow;
+      fabric_.inject_from_host(h, p);
+      sim.run_until(sim.now() + sim::SimTime::milliseconds(50));
+    }
   }
-  for (int attempt = 0; attempt < 50 && !controller_->lookup_mac(host1_mac()); ++attempt) {
-    net::Packet p1 = net::make_udp_packet(host1_mac(), host2_mac(), host1_ip(), host2_ip(),
-                                          static_cast<std::uint16_t>(kWarmupPort + seq++),
-                                          kWarmupPort, 100);
-    p1.flow_id = metrics::kUntrackedFlow;
-    inject_from_host1(p1);
-    sim_.run_until(sim_.now() + sim::SimTime::milliseconds(50));
-  }
-  sim_.run_until(sim_.now() + sim::SimTime::milliseconds(100));
+  sim.run_until(sim.now() + sim::SimTime::milliseconds(100));
 
-  SDNBUF_CHECK_MSG(controller_->lookup_mac(host1_mac()).has_value() &&
-                       controller_->lookup_mac(host2_mac()).has_value(),
+  SDNBUF_CHECK_MSG(learned_everywhere(host1_mac()) && learned_everywhere(host2_mac()),
                    "warm-up failed to teach the controller both host locations");
   reset_statistics();
 
@@ -110,36 +82,14 @@ void Testbed::warm_up() {
   if (fault_profile_.any()) {
     of::FaultProfile armed = fault_profile_;
     for (auto& w : armed.outages) {
-      w.start = w.start + measurement_start_;
-      w.end = w.end + measurement_start_;
+      w.start = w.start + measurement_start();
+      w.end = w.end + measurement_start();
     }
-    channel_->set_fault_profile(armed, seed_ * 0x9e3779b97f4a7c15ULL + 0xfa017ULL);
+    for (unsigned i = 0; i < n_switches(); ++i) {
+      fabric_.channel_at(i).set_fault_profile(armed,
+                                              seed_ * 0x9e3779b97f4a7c15ULL + 0xfa017ULL + i);
+    }
   }
-}
-
-void Testbed::reset_statistics() {
-  control_link_->forward().tap().reset();
-  control_link_->reverse().tap().reset();
-  host1_link_->forward().tap().reset();
-  host1_link_->reverse().tap().reset();
-  host2_link_->forward().tap().reset();
-  host2_link_->reverse().tap().reset();
-  switch_->cpu().reset_stats();
-  switch_->bus().reset_stats();
-  controller_->cpu().reset_stats();
-  switch_->reset_counters();
-  controller_->reset_counters();
-  channel_->reset_counters();
-  if (switch_->packet_buffer() != nullptr) {
-    switch_->packet_buffer()->occupancy().reset(sim_.now());
-  }
-  if (switch_->flow_buffer() != nullptr) {
-    switch_->flow_buffer()->occupancy().reset(sim_.now());
-  }
-  sink1_.reset();
-  sink2_.reset();
-  if (controller_->flow_monitor() != nullptr) controller_->flow_monitor()->reset();
-  measurement_start_ = sim_.now();
 }
 
 }  // namespace sdnbuf::core

@@ -386,12 +386,16 @@ void FabricObservatory::reset() {
 // --- FateObserver ---
 
 void FateObserver::on_packet_injected(const net::Packet& packet, sim::SimTime now) {
-  if (endpoint_injections_) obs_.on_injected(packet, now);
+  // Endpoint injections reach the observatory from the testbed's host
+  // injection point; per-switch observers also see mid-fabric handoffs,
+  // which must not count.
+  (void)packet;
+  (void)now;
 }
 
 void FateObserver::on_packet_delivered(const net::Packet& packet, sim::SimTime now) {
-  // Deliveries reach the observatory through the host-sink tap; per-switch
-  // observers also see mid-fabric handoffs, which must not count.
+  // Deliveries reach the observatory through the host-sink tap, for the
+  // same reason.
   (void)packet;
   (void)now;
 }

@@ -295,15 +295,15 @@ class FabricObservatory {
 };
 
 // InvariantObserver adapter: forwards one component's drop/expiry/loss events
-// into the observatory with a site label. Deliveries and mid-fabric handoffs
-// are deliberately NOT forwarded — deliveries reach the observatory through
-// the host-sink tap exactly once per payload, and per-switch handoff
-// injections would inflate the endpoint ledger (set `endpoint_injections`
-// only on the chain testbed, where the observer sees true endpoint events).
+// into the observatory with a site label. Injections, deliveries and
+// mid-fabric handoffs are deliberately NOT forwarded — the ledger is
+// endpoint-to-endpoint, fed by the testbed's host injection point and the
+// host-sink tap exactly once per payload; per-switch handoffs would inflate
+// it.
 class FateObserver final : public verify::InvariantObserver {
  public:
-  FateObserver(FabricObservatory& observatory, std::string site, bool endpoint_injections)
-      : obs_(observatory), site_(std::move(site)), endpoint_injections_(endpoint_injections) {}
+  FateObserver(FabricObservatory& observatory, std::string site)
+      : obs_(observatory), site_(std::move(site)) {}
 
   void on_packet_injected(const net::Packet& packet, sim::SimTime now) override;
   void on_packet_delivered(const net::Packet& packet, sim::SimTime now) override;
@@ -337,7 +337,6 @@ class FateObserver final : public verify::InvariantObserver {
 
   FabricObservatory& obs_;
   std::string site_;
-  bool endpoint_injections_;
   std::uint32_t packet_ins_base_ = 0;
   std::vector<PacketInMeta> packet_ins_;
 };

@@ -61,9 +61,11 @@ Switch::Switch(sim::Simulator& sim, SwitchConfig config, std::uint64_t rng_seed)
 }
 
 void Switch::attach_port(std::uint16_t port_no, net::Link& egress, DeliverFn deliver) {
-  SDNBUF_CHECK_MSG(ports_.count(port_no) == 0, "port already attached");
   SDNBUF_CHECK_MSG(port_no != 0 && port_no < of::kPortMax, "invalid port number");
-  Port port;
+  // Built in place: moving a finished Port would reallocate its deque.
+  const auto [it, inserted] = ports_.try_emplace(port_no);
+  SDNBUF_CHECK_MSG(inserted, "port already attached");
+  Port& port = it->second;
   port.egress = &egress;
   port.deliver = std::move(deliver);
   port.scheduler =
@@ -77,7 +79,6 @@ void Switch::attach_port(std::uint16_t port_no, net::Link& egress, DeliverFn del
     ++counters_.packets_dropped;
     if (observer_ != nullptr) observer_->on_packet_dropped(packet, where, sim_.now());
   });
-  ports_.emplace(port_no, std::move(port));
 }
 
 EgressScheduler& Switch::port_scheduler(std::uint16_t port_no) {

@@ -1,6 +1,6 @@
 #include "topo/topology.hpp"
 
-#include <set>
+#include <numeric>
 #include <stdexcept>
 
 namespace sdnbuf::topo {
@@ -11,34 +11,48 @@ namespace {
 
 }  // namespace
 
-const Topology::NodeRec& Topology::rec(NodeId node) const {
-  if (node >= nodes_.size()) reject("unknown node id " + std::to_string(node));
-  return nodes_[node];
+const Topology::Graph& Topology::empty_graph() {
+  static const Graph kEmpty;
+  return kEmpty;
 }
 
+Topology::Graph& Topology::mut() {
+  if (g_ == nullptr) {
+    g_ = std::make_shared<Graph>();
+  } else if (g_.use_count() > 1) {
+    g_ = std::make_shared<Graph>(*g_);
+  }
+  return *g_;
+}
+
+void Topology::reject_unknown(NodeId node) { reject("unknown node id " + std::to_string(node)); }
+
 Topology::NodeRec& Topology::rec(NodeId node) {
-  return const_cast<NodeRec&>(static_cast<const Topology*>(this)->rec(node));
+  if (node >= n_nodes()) reject_unknown(node);
+  return mut().nodes[node];
 }
 
 NodeId Topology::add_host(std::string name) {
-  const NodeId id = static_cast<NodeId>(nodes_.size());
+  Graph& graph = mut();
+  const NodeId id = static_cast<NodeId>(graph.nodes.size());
   NodeRec n;
   n.kind = NodeKind::Host;
-  n.index = static_cast<unsigned>(hosts_.size());
+  n.index = static_cast<unsigned>(graph.hosts.size());
   n.name = name.empty() ? "h" + std::to_string(n.index + 1) : std::move(name);
-  nodes_.push_back(std::move(n));
-  hosts_.push_back(id);
+  graph.nodes.push_back(std::move(n));
+  graph.hosts.push_back(id);
   return id;
 }
 
 NodeId Topology::add_switch(std::string name) {
-  const NodeId id = static_cast<NodeId>(nodes_.size());
+  Graph& graph = mut();
+  const NodeId id = static_cast<NodeId>(graph.nodes.size());
   NodeRec n;
   n.kind = NodeKind::Switch;
-  n.index = static_cast<unsigned>(switches_.size());
+  n.index = static_cast<unsigned>(graph.switches.size());
   n.name = name.empty() ? "sw" + std::to_string(n.index + 1) : std::move(name);
-  nodes_.push_back(std::move(n));
-  switches_.push_back(id);
+  graph.nodes.push_back(std::move(n));
+  graph.switches.push_back(id);
   return id;
 }
 
@@ -61,23 +75,24 @@ std::size_t Topology::add_link(NodeId a, NodeId b) {
   link.a_port = ra.next_port++;
   link.b_port = rb.next_port++;
   link.host_edge = ra.kind == NodeKind::Host || rb.kind == NodeKind::Host;
-  const std::size_t index = links_.size();
+  std::vector<Link>& links = mut().links;
+  const std::size_t index = links.size();
   ra.adj.push_back(Adjacency{link.a_port, b, link.b_port, index});
   rb.adj.push_back(Adjacency{link.b_port, a, link.a_port, index});
-  links_.push_back(link);
+  links.push_back(link);
   return index;
 }
 
 NodeId Topology::host_id(unsigned host_index) const {
-  if (host_index >= hosts_.size()) reject("host index " + std::to_string(host_index) + " out of range");
-  return hosts_[host_index];
+  if (host_index >= n_hosts()) reject("host index " + std::to_string(host_index) + " out of range");
+  return g().hosts[host_index];
 }
 
 NodeId Topology::switch_id(unsigned switch_index) const {
-  if (switch_index >= switches_.size()) {
+  if (switch_index >= n_switches()) {
     reject("switch index " + std::to_string(switch_index) + " out of range");
   }
-  return switches_[switch_index];
+  return g().switches[switch_index];
 }
 
 std::optional<std::uint16_t> Topology::port_to(NodeId from, NodeId to) const {
@@ -111,41 +126,35 @@ std::optional<NodeId> Topology::host_by_mac(const net::MacAddress& mac) const {
   const auto& o = mac.octets();
   if (o[0] != 0x02 || o[1] != 0 || o[2] != 0 || o[3] != 0) return std::nullopt;
   const unsigned index = (static_cast<unsigned>(o[4]) << 8 | o[5]);
-  if (index == 0 || index > hosts_.size()) return std::nullopt;
-  return hosts_[index - 1];
+  if (index == 0 || index > n_hosts()) return std::nullopt;
+  return g().hosts[index - 1];
 }
 
 void Topology::validate() const {
   const auto fail = [](const std::string& what) {
     throw std::runtime_error("topology: " + what);
   };
-  if (hosts_.empty()) fail("no hosts");
-  if (switches_.empty()) fail("no switches");
-  for (const NodeId h : hosts_) {
-    if (nodes_[h].adj.size() != 1) {
-      fail("host " + nodes_[h].name + " has " + std::to_string(nodes_[h].adj.size()) +
+  const Graph& graph = g();
+  const std::vector<NodeRec>& nodes = graph.nodes;
+  if (graph.hosts.empty()) fail("no hosts");
+  if (graph.switches.empty()) fail("no switches");
+  for (const NodeId h : graph.hosts) {
+    if (nodes[h].adj.size() != 1) {
+      fail("host " + nodes[h].name + " has " + std::to_string(nodes[h].adj.size()) +
            " links (want exactly 1)");
     }
   }
-  // Connectivity: BFS over everything from node 0.
-  std::vector<bool> seen(nodes_.size(), false);
-  std::vector<NodeId> queue{0};
-  seen[0] = true;
-  std::size_t reached = 1;
-  while (!queue.empty()) {
-    const NodeId cur = queue.back();
-    queue.pop_back();
-    for (const Adjacency& adj : nodes_[cur].adj) {
-      if (!seen[adj.peer]) {
-        seen[adj.peer] = true;
-        ++reached;
-        queue.push_back(adj.peer);
-      }
-    }
-  }
-  if (reached != nodes_.size()) {
-    for (NodeId n = 0; n < nodes_.size(); ++n) {
-      if (!seen[n]) fail("disconnected: " + nodes_[n].name + " unreachable from " + nodes_[0].name);
+  // Connectivity: union-find over the links (one allocation, no queue).
+  std::vector<NodeId> parent(nodes.size());
+  std::iota(parent.begin(), parent.end(), NodeId{0});
+  const auto root = [&parent](NodeId n) {
+    while (parent[n] != n) n = parent[n] = parent[parent[n]];
+    return n;
+  };
+  for (const Link& link : graph.links) parent[root(link.a)] = root(link.b);
+  for (NodeId n = 1; n < nodes.size(); ++n) {
+    if (root(n) != root(0)) {
+      fail("disconnected: " + nodes[n].name + " unreachable from " + nodes[0].name);
     }
   }
 }
@@ -153,16 +162,15 @@ void Topology::validate() const {
 Topology make_chain(unsigned n_switches) {
   if (n_switches < 1) reject("a chain needs at least one switch");
   Topology t;
-  const NodeId h1 = t.add_host();
-  std::vector<NodeId> sws;
-  sws.reserve(n_switches);
-  for (unsigned i = 0; i < n_switches; ++i) sws.push_back(t.add_switch());
   // Wiring order fixes the port map: h1 first gives every switch port 1 on
   // its Host1 side, port 2 on its Host2 side.
-  t.add_link(h1, sws.front());
-  for (unsigned i = 1; i < n_switches; ++i) t.add_link(sws[i - 1], sws[i]);
-  const NodeId h2 = t.add_host();
-  t.add_link(sws.back(), h2);
+  NodeId prev = t.add_host();
+  for (unsigned i = 0; i < n_switches; ++i) {
+    const NodeId sw = t.add_switch();
+    t.add_link(prev, sw);
+    prev = sw;
+  }
+  t.add_link(prev, t.add_host());
   t.validate();
   return t;
 }

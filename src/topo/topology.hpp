@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -64,10 +65,10 @@ class Topology {
   // Returns the link index.
   std::size_t add_link(NodeId a, NodeId b);
 
-  [[nodiscard]] unsigned n_hosts() const { return static_cast<unsigned>(hosts_.size()); }
-  [[nodiscard]] unsigned n_switches() const { return static_cast<unsigned>(switches_.size()); }
-  [[nodiscard]] unsigned n_nodes() const { return static_cast<unsigned>(nodes_.size()); }
-  [[nodiscard]] std::size_t n_links() const { return links_.size(); }
+  [[nodiscard]] unsigned n_hosts() const { return static_cast<unsigned>(g().hosts.size()); }
+  [[nodiscard]] unsigned n_switches() const { return static_cast<unsigned>(g().switches.size()); }
+  [[nodiscard]] unsigned n_nodes() const { return static_cast<unsigned>(g().nodes.size()); }
+  [[nodiscard]] std::size_t n_links() const { return g().links.size(); }
 
   [[nodiscard]] NodeKind kind(NodeId node) const { return rec(node).kind; }
   [[nodiscard]] bool is_host(NodeId node) const { return kind(node) == NodeKind::Host; }
@@ -77,9 +78,9 @@ class Topology {
 
   [[nodiscard]] NodeId host_id(unsigned host_index) const;
   [[nodiscard]] NodeId switch_id(unsigned switch_index) const;
-  [[nodiscard]] const std::vector<NodeId>& hosts() const { return hosts_; }
-  [[nodiscard]] const std::vector<NodeId>& switches() const { return switches_; }
-  [[nodiscard]] const std::vector<Link>& links() const { return links_; }
+  [[nodiscard]] const std::vector<NodeId>& hosts() const { return g().hosts; }
+  [[nodiscard]] const std::vector<NodeId>& switches() const { return g().switches; }
+  [[nodiscard]] const std::vector<Link>& links() const { return g().links; }
 
   [[nodiscard]] const std::vector<Adjacency>& adjacency(NodeId node) const {
     return rec(node).adj;
@@ -113,13 +114,29 @@ class Topology {
     std::uint16_t next_port = 1;
   };
 
-  [[nodiscard]] const NodeRec& rec(NodeId node) const;
-  [[nodiscard]] NodeRec& rec(NodeId node);
+  // The graph proper. Copies of a Topology share it until one of them is
+  // modified, so handing a topology to a testbed costs no allocation.
+  struct Graph {
+    std::vector<NodeRec> nodes;
+    std::vector<NodeId> hosts;
+    std::vector<NodeId> switches;
+    std::vector<Link> links;
+  };
 
-  std::vector<NodeRec> nodes_;
-  std::vector<NodeId> hosts_;
-  std::vector<NodeId> switches_;
-  std::vector<Link> links_;
+  [[nodiscard]] const Graph& g() const { return g_ != nullptr ? *g_ : empty_graph(); }
+  [[nodiscard]] static const Graph& empty_graph();
+  // The graph for modification, unshared (copied) first if another
+  // Topology still refers to it.
+  [[nodiscard]] Graph& mut();
+  [[nodiscard]] const NodeRec& rec(NodeId node) const {
+    const std::vector<NodeRec>& nodes = g().nodes;
+    if (node >= nodes.size()) reject_unknown(node);
+    return nodes[node];
+  }
+  [[nodiscard]] NodeRec& rec(NodeId node);
+  [[noreturn]] static void reject_unknown(NodeId node);
+
+  std::shared_ptr<Graph> g_;  // null = empty
 };
 
 // --- validated fabric builders ---
@@ -128,7 +145,7 @@ class Topology {
 // (and therefore the port map) is part of each builder's contract.
 
 // Host1 -- sw1 -- sw2 -- ... -- swN -- Host2. Port map: port 1 faces Host1,
-// port 2 faces Host2 on every switch — the ChainTestbed convention.
+// port 2 faces Host2 on every switch — the core::Testbed convention.
 [[nodiscard]] Topology make_chain(unsigned n_switches);
 
 // Two-tier Clos: every leaf connects to every spine; hosts attach to leaves.

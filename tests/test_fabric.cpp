@@ -117,6 +117,48 @@ TEST(FabricTestbed, PerSwitchRegistriesStayCleanOnFatTree) {
   EXPECT_GT(events, 0u);
 }
 
+TEST(FabricTestbed, PerSwitchRegistriesSeeChannelFaults) {
+  // Lossy, duplicating control channels: every loss and duplicate must reach
+  // the owning switch's registry, or its packet_in/xid accounting cannot
+  // close.
+  const topo::Topology topology = topo::make_leaf_spine(2, 2, 2);
+  std::vector<std::unique_ptr<verify::InvariantRegistry>> registries;
+  std::vector<verify::InvariantObserver*> observers;
+  for (unsigned i = 0; i < topology.n_switches(); ++i) {
+    registries.push_back(std::make_unique<verify::InvariantRegistry>());
+    observers.push_back(registries.back().get());
+  }
+  FabricConfig config = fabric_config(topology, FabricRouting::TopologyPerHop,
+                                      sw::BufferMode::PacketGranularity);
+  config.observers = observers;
+  FabricTestbed bed{config};
+  of::FaultProfile faults;
+  faults.loss_to_controller = 0.2;
+  faults.loss_to_switch = 0.2;
+  faults.duplicate_to_controller = 0.2;
+  faults.duplicate_to_switch = 0.2;
+  for (unsigned i = 0; i < bed.n_switches(); ++i) bed.channel_at(i).set_fault_profile(faults, i + 1);
+  for (unsigned f = 0; f < 40; ++f) {
+    const unsigned src = f % 4;
+    const unsigned dst = (src + 2) % 4;  // the other leaf
+    bed.inject_from_host(src, host_packet(src, dst, static_cast<std::uint16_t>(10000 + f), f));
+  }
+  drain(bed, sim::SimTime::seconds(2));
+  std::uint64_t lost = 0;
+  std::uint64_t duplicated = 0;
+  for (unsigned i = 0; i < bed.n_switches(); ++i) {
+    lost += bed.channel_at(i).fault_counters().total_lost();
+    duplicated += bed.channel_at(i).fault_counters().total_duplicated();
+  }
+  ASSERT_GT(lost, 0u);
+  ASSERT_GT(duplicated, 0u);
+  for (unsigned i = 0; i < registries.size(); ++i) {
+    registries[i]->finalize(/*expect_all_delivered=*/false);
+    EXPECT_TRUE(registries[i]->ok())
+        << topology.name(topology.switch_id(i)) << "\n" << registries[i]->report();
+  }
+}
+
 TEST(FabricTestbed, FullPathNeedsProactiveAllowance) {
   const topo::Topology topology = topo::make_leaf_spine(2, 2, 2);
   std::vector<std::unique_ptr<verify::InvariantRegistry>> registries;

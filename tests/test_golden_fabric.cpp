@@ -1,9 +1,12 @@
-// Golden fabric digests: four fixed fabric experiments, each reduced to one
-// 64-bit FNV-1a hash over every FabricExperimentResult field (doubles at
-// full precision, per-flow first-packet delays in delivery order, the
-// delivery timeline) plus the sorted delivered-payload multiset. The
-// committed digests pin the fabric path's outputs, so a refactor of the
-// testbed, driver, links or channels cannot drift a result silently.
+// Golden digests: fixed Fig. 1 and fabric experiments, each reduced to one
+// 64-bit FNV-1a hash over every result field (doubles at full precision,
+// sample vectors in order) plus any artifacts the run produces (trace,
+// metrics and observatory JSON, channel capture dump). Fig. 1 runs hash
+// every ExperimentResult field; fabric runs hash every
+// FabricExperimentResult field, the delivery timeline and the sorted
+// delivered-payload multiset. The committed digests pin both paths'
+// outputs, so a refactor of the testbed, driver, links or channels cannot
+// drift a result silently.
 //
 // A digest mismatch prints the new value. Update the constant only when the
 // change in behaviour is intended, and say why in the commit.
@@ -13,11 +16,16 @@
 #include <sstream>
 #include <string>
 
+#include "core/experiment.hpp"
 #include "core/fabric_experiment.hpp"
 #include "net/link_fault.hpp"
 #include "obs/fabric_observatory.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "openflow/capture.hpp"
 #include "switchd/mmu/policy.hpp"
 #include "topo/topology.hpp"
+#include "verify/invariants.hpp"
 
 namespace sdnbuf {
 namespace {
@@ -31,6 +39,11 @@ std::uint64_t fnv1a(const std::string& bytes) {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+void print_samples(std::ostream& os, const util::Samples& s) {
+  for (const double v : s.values()) os << v << ' ';
+  os << '\n';
 }
 
 std::string fingerprint(const core::FabricExperimentResult& r) {
@@ -47,11 +60,35 @@ std::string fingerprint(const core::FabricExperimentResult& r) {
      << r.buffer_units_expired << ' ' << r.mmu_rejected << ' ' << r.mmu_peak_pool_cells << ' '
      << r.unique_offered << ' ' << r.unique_acked << ' ' << r.retransmits << ' ' << r.abandoned
      << ' ' << r.last_fault_clear.ns() << '\n';
-  for (const double v : r.first_packet_ms.values()) os << v << ' ';
-  os << '\n';
+  print_samples(os, r.first_packet_ms);
   for (const std::uint64_t n : r.delivered_per_bin) os << n << ' ';
   os << '\n';
   for (const auto& [flow, seq] : r.delivered) os << flow << ':' << seq << ' ';
+  return os.str();
+}
+
+std::string fingerprint(const core::ExperimentResult& r) {
+  std::ostringstream os;
+  os.precision(17);
+  os << r.to_controller_mbps << ' ' << r.to_switch_mbps << ' ' << r.controller_cpu_pct << ' '
+     << r.switch_cpu_pct << ' ' << r.bus_utilization_pct << ' ' << r.buffer_avg_units << ' '
+     << r.buffer_max_units << ' ' << r.pkt_ins_sent << ' ' << r.full_frame_pkt_ins << ' '
+     << r.resend_pkt_ins << ' ' << r.flow_mods << ' ' << r.pkt_outs << ' '
+     << r.to_controller_msgs << ' ' << r.to_switch_msgs << ' ' << r.to_controller_bytes << ' '
+     << r.to_switch_bytes << ' ' << r.stats_requests << ' ' << r.pkt_ins_dropped << ' '
+     << r.flow_samples << ' ' << r.int_stamps << ' ' << r.mmu_rejected << ' '
+     << r.mmu_peak_pool_cells << ' ' << r.echo_msgs << ' ' << r.hello_msgs << ' '
+     << r.error_msgs << ' ' << r.channel_lost_msgs << ' ' << r.channel_duplicated_msgs << ' '
+     << r.channel_outage_dropped_msgs << ' ' << r.connection_losses << ' ' << r.reconnects
+     << ' ' << r.failsecure_dropped << ' ' << r.standalone_forwarded << ' '
+     << r.resend_cap_expired << ' ' << r.reconcile_rerequests << ' ' << r.reconcile_expired
+     << ' ' << r.last_reconnect_s << ' ' << r.packets_sent << ' ' << r.packets_delivered << ' '
+     << r.duplicates << ' ' << r.flows_complete << ' ' << r.duration_s << ' ' << r.drained
+     << '\n';
+  print_samples(os, r.setup_ms);
+  print_samples(os, r.controller_ms);
+  print_samples(os, r.switch_ms);
+  print_samples(os, r.forwarding_ms);
   return os.str();
 }
 
@@ -151,6 +188,102 @@ TEST(GoldenFabric, DynamicThresholdIncastWithObservatory) {
   std::ostringstream summary;
   obsy.write_summary_json(summary);
   expect_digest(fingerprint(r) + '\n' + summary.str(), 0xca9e198a628ccf60ULL);
+}
+
+// --- Fig. 1 platform (run_experiment) ---
+
+core::ExperimentConfig e1_config(sw::BufferMode mode, std::size_t capacity) {
+  core::ExperimentConfig c;
+  c.mode = mode;
+  c.buffer_capacity = capacity;
+  c.rate_mbps = 50.0;
+  c.n_flows = 400;
+  c.seed = 3;
+  return c;
+}
+
+TEST(GoldenFig1, E1NoBuffer) {
+  const auto r = core::run_experiment(e1_config(sw::BufferMode::NoBuffer, 0));
+  ASSERT_TRUE(r.drained);
+  expect_digest(fingerprint(r), 0x36da7b4bb00e0c17ULL);
+}
+
+TEST(GoldenFig1, E1Buffer256) {
+  const auto r = core::run_experiment(e1_config(sw::BufferMode::PacketGranularity, 256));
+  ASSERT_TRUE(r.drained);
+  expect_digest(fingerprint(r), 0x3a9c02b1d67c620bULL);
+}
+
+TEST(GoldenFig1, E1Flow256) {
+  const auto r = core::run_experiment(e1_config(sw::BufferMode::FlowGranularity, 256));
+  ASSERT_TRUE(r.drained);
+  expect_digest(fingerprint(r), 0x1eb0cc33e3440669ULL);
+}
+
+TEST(GoldenFig1, E2CrossSequence) {
+  core::ExperimentConfig c = e1_config(sw::BufferMode::FlowGranularity, 256);
+  c.rate_mbps = 80.0;
+  c.n_flows = 50;
+  c.packets_per_flow = 20;
+  c.order = host::EmissionOrder::CrossSequence;
+  c.batch_size = 5;
+  const auto r = core::run_experiment(c);
+  ASSERT_TRUE(r.drained);
+  expect_digest(fingerprint(r), 0xcfd228042a658c67ULL);
+}
+
+TEST(GoldenFig1, InvariantsTracerAndMetrics) {
+  verify::InvariantRegistry registry;
+  obs::TraceWriter writer;
+  obs::FlowTracer tracer{writer, 5, 4};
+  obs::MetricsRegistry metrics;
+  core::ExperimentConfig c = e1_config(sw::BufferMode::PacketGranularity, 16);
+  c.rate_mbps = 90.0;
+  c.observer = &registry;
+  c.tracer = &tracer;
+  c.metrics = &metrics;
+  const auto r = core::run_experiment(c);
+  registry.finalize(/*expect_all_delivered=*/true);
+  ASSERT_TRUE(registry.ok());
+  ASSERT_GT(writer.event_count(), 0u);
+  std::ostringstream artifacts;
+  writer.write_json(artifacts);
+  metrics.write_json(artifacts);
+  expect_digest(fingerprint(r) + '\n' + artifacts.str(), 0xa9a33cc2368a13f3ULL);
+}
+
+TEST(GoldenFig1, ObservatoryWithSampling) {
+  obs::FabricObservatory obsy;
+  core::ExperimentConfig c = e1_config(sw::BufferMode::PacketGranularity, 256);
+  c.packets_per_flow = 4;
+  c.n_flows = 200;
+  c.observatory = &obsy;
+  c.testbed.switch_config.telemetry_int_depth = 4;
+  c.testbed.switch_config.telemetry_sample_period = 8;
+  c.testbed.controller_config.flow_monitor_enabled = true;
+  const auto r = core::run_experiment(c);
+  ASSERT_GT(r.flow_samples, 0u);
+  ASSERT_GT(obsy.stamps_harvested(), 0u);
+  std::ostringstream summary;
+  obsy.write_summary_json(summary);
+  expect_digest(fingerprint(r) + '\n' + summary.str(), 0xddddbc0315535724ULL);
+}
+
+TEST(GoldenFig1, ChannelLossOutageAndCapture) {
+  of::ChannelCapture capture;
+  core::ExperimentConfig c = e1_config(sw::BufferMode::PacketGranularity, 256);
+  c.rate_mbps = 20.0;
+  c.capture = &capture;
+  c.testbed.fault_profile.loss_to_controller = 0.05;
+  c.testbed.fault_profile.loss_to_switch = 0.05;
+  c.testbed.fault_profile.duplicate_to_controller = 0.03;
+  c.testbed.fault_profile.outages.push_back({SimTime::milliseconds(40), SimTime::milliseconds(90)});
+  const auto r = core::run_experiment(c);
+  ASSERT_GT(r.channel_lost_msgs, 0u);
+  ASSERT_GT(r.channel_outage_dropped_msgs, 0u);
+  std::ostringstream dump;
+  capture.dump(dump);
+  expect_digest(fingerprint(r) + '\n' + dump.str(), 0xc313b49a7286a6a7ULL);
 }
 
 }  // namespace

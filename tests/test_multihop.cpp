@@ -3,14 +3,14 @@
 // and the per-hop multiplication of the reactive overhead.
 #include <gtest/gtest.h>
 
-#include "core/chain_testbed.hpp"
+#include "core/testbed.hpp"
 #include "host/traffic_gen.hpp"
 
 namespace sdnbuf::core {
 namespace {
 
-ChainConfig chain_config(unsigned n_switches, sw::BufferMode mode) {
-  ChainConfig config;
+TestbedConfig chain_config(unsigned n_switches, sw::BufferMode mode) {
+  TestbedConfig config;
   config.n_switches = n_switches;
   config.switch_config.buffer_mode = mode;
   config.switch_config.buffer_capacity = 256;
@@ -18,7 +18,7 @@ ChainConfig chain_config(unsigned n_switches, sw::BufferMode mode) {
 }
 
 // Sends `n_flows` single-packet flows from host1 at 50 Mbps and drains.
-void run_flows(ChainTestbed& bed, std::uint64_t n_flows, std::uint32_t packets_per_flow = 1) {
+void run_flows(Testbed& bed, std::uint64_t n_flows, std::uint32_t packets_per_flow = 1) {
   host::TrafficConfig traffic;
   traffic.rate_mbps = 50.0;
   traffic.n_flows = n_flows;
@@ -39,8 +39,8 @@ void run_flows(ChainTestbed& bed, std::uint64_t n_flows, std::uint32_t packets_p
   bed.sim().run();
 }
 
-TEST(ChainTestbed, WarmUpTeachesEverySwitch) {
-  ChainTestbed bed{chain_config(3, sw::BufferMode::PacketGranularity)};
+TEST(Chain, WarmUpTeachesEverySwitch) {
+  Testbed bed{chain_config(3, sw::BufferMode::PacketGranularity)};
   bed.warm_up();
   for (unsigned dpid = 1; dpid <= 3; ++dpid) {
     ASSERT_TRUE(bed.controller().lookup_mac(bed.host1_mac(), dpid).has_value()) << dpid;
@@ -48,17 +48,17 @@ TEST(ChainTestbed, WarmUpTeachesEverySwitch) {
   }
   // Direction sanity: at switch 1 host1 is on the left port; at switch 3
   // host2 is on the right port.
-  EXPECT_EQ(*bed.controller().lookup_mac(bed.host1_mac(), 1), ChainTestbed::kLeftPort);
-  EXPECT_EQ(*bed.controller().lookup_mac(bed.host2_mac(), 3), ChainTestbed::kRightPort);
+  EXPECT_EQ(*bed.controller().lookup_mac(bed.host1_mac(), 1), Testbed::kHost1Port);
+  EXPECT_EQ(*bed.controller().lookup_mac(bed.host2_mac(), 3), Testbed::kHost2Port);
   // Mid-chain: host1 toward the left, host2 toward the right.
-  EXPECT_EQ(*bed.controller().lookup_mac(bed.host1_mac(), 2), ChainTestbed::kLeftPort);
-  EXPECT_EQ(*bed.controller().lookup_mac(bed.host2_mac(), 2), ChainTestbed::kRightPort);
+  EXPECT_EQ(*bed.controller().lookup_mac(bed.host1_mac(), 2), Testbed::kHost1Port);
+  EXPECT_EQ(*bed.controller().lookup_mac(bed.host2_mac(), 2), Testbed::kHost2Port);
 }
 
 class ChainMechanismTest : public ::testing::TestWithParam<sw::BufferMode> {};
 
 TEST_P(ChainMechanismTest, EveryPacketTraversesTheChainExactlyOnce) {
-  ChainTestbed bed{chain_config(3, GetParam())};
+  Testbed bed{chain_config(3, GetParam())};
   bed.warm_up();
   run_flows(bed, 100, 2);
   EXPECT_EQ(bed.sink2().packets_received(), 200u);
@@ -67,7 +67,7 @@ TEST_P(ChainMechanismTest, EveryPacketTraversesTheChainExactlyOnce) {
 }
 
 TEST_P(ChainMechanismTest, EveryHopRequestsEveryFlow) {
-  ChainTestbed bed{chain_config(3, GetParam())};
+  Testbed bed{chain_config(3, GetParam())};
   bed.warm_up();
   run_flows(bed, 100);
   // Single-packet flows: exactly one miss per flow per switch.
@@ -77,7 +77,7 @@ TEST_P(ChainMechanismTest, EveryHopRequestsEveryFlow) {
     EXPECT_GE(bed.switch_at(i).flow_table().size(), 100u) << "switch " << i;
     EXPECT_LE(bed.switch_at(i).flow_table().size(), 103u) << "switch " << i;
   }
-  EXPECT_EQ(bed.total_pkt_ins(), 300u);
+  EXPECT_EQ(bed.fabric().total_pkt_ins(), 300u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Mechanisms, ChainMechanismTest,
@@ -91,36 +91,36 @@ INSTANTIATE_TEST_SUITE_P(Mechanisms, ChainMechanismTest,
                                       : "FlowGranularity";
                          });
 
-TEST(ChainTestbed, ControlBytesScaleWithHops) {
+TEST(Chain, ControlBytesScaleWithHops) {
   std::uint64_t bytes_1 = 0;
   std::uint64_t bytes_3 = 0;
   for (const unsigned hops : {1u, 3u}) {
-    ChainTestbed bed{chain_config(hops, sw::BufferMode::NoBuffer)};
+    Testbed bed{chain_config(hops, sw::BufferMode::NoBuffer)};
     bed.warm_up();
     run_flows(bed, 50);
-    (hops == 1 ? bytes_1 : bytes_3) = bed.total_control_bytes();
+    (hops == 1 ? bytes_1 : bytes_3) = bed.fabric().total_control_bytes();
   }
   // Three switches generate ~3x the control traffic of one.
   EXPECT_NEAR(static_cast<double>(bytes_3) / static_cast<double>(bytes_1), 3.0, 0.3);
 }
 
-TEST(ChainTestbed, BufferSavingHoldsPerHop) {
+TEST(Chain, BufferSavingHoldsPerHop) {
   std::uint64_t none_bytes = 0;
   std::uint64_t buffered_bytes = 0;
   for (const auto mode : {sw::BufferMode::NoBuffer, sw::BufferMode::PacketGranularity}) {
-    ChainTestbed bed{chain_config(3, mode)};
+    Testbed bed{chain_config(3, mode)};
     bed.warm_up();
     run_flows(bed, 50);
     (mode == sw::BufferMode::NoBuffer ? none_bytes : buffered_bytes) =
-        bed.total_control_bytes();
+        bed.fabric().total_control_bytes();
   }
   // The per-hop reduction compounds: total control bytes shrink by the same
   // large factor as in the single-switch testbed.
   EXPECT_LT(buffered_bytes, none_bytes / 3);
 }
 
-TEST(ChainTestbed, FlowGranularityBuffersAtEveryHop) {
-  ChainTestbed bed{chain_config(2, sw::BufferMode::FlowGranularity)};
+TEST(Chain, FlowGranularityBuffersAtEveryHop) {
+  Testbed bed{chain_config(2, sw::BufferMode::FlowGranularity)};
   bed.warm_up();
   run_flows(bed, 20, 5);
   EXPECT_EQ(bed.sink2().packets_received(), 100u);
@@ -135,16 +135,16 @@ TEST(ChainTestbed, FlowGranularityBuffersAtEveryHop) {
   }
 }
 
-TEST(ChainTestbed, SingleSwitchChainMatchesTestbedShape) {
-  ChainTestbed bed{chain_config(1, sw::BufferMode::PacketGranularity)};
+TEST(Chain, SingleSwitchRequestsOncePerFlow) {
+  Testbed bed{chain_config(1, sw::BufferMode::PacketGranularity)};
   bed.warm_up();
   run_flows(bed, 100);
   EXPECT_EQ(bed.sink2().packets_received(), 100u);
-  EXPECT_EQ(bed.total_pkt_ins(), 100u);
+  EXPECT_EQ(bed.fabric().total_pkt_ins(), 100u);
 }
 
-TEST(ChainTestbed, ReverseTrafficUsesLearnedPaths) {
-  ChainTestbed bed{chain_config(2, sw::BufferMode::PacketGranularity)};
+TEST(Chain, ReverseTrafficUsesLearnedPaths) {
+  Testbed bed{chain_config(2, sw::BufferMode::PacketGranularity)};
   bed.warm_up();
   // host2 -> host1: one flow; must arrive at sink1 without flooding back.
   net::Packet p = net::make_udp_packet(bed.host2_mac(), bed.host1_mac(), bed.host2_ip(),

@@ -75,6 +75,22 @@ TEST(Topology, FatTreeShape) {
   EXPECT_THROW(make_fat_tree(0), std::invalid_argument);
 }
 
+TEST(Topology, CopiesAreIndependentValues) {
+  // Copies share one graph until modified; a modification never shows
+  // through another copy.
+  const Topology original = make_chain(1);
+  Topology copy = original;
+  const NodeId extra = copy.add_switch();
+  copy.add_link(copy.switch_id(0), extra);
+  EXPECT_EQ(original.n_switches(), 1u);
+  EXPECT_EQ(original.n_links(), 2u);
+  EXPECT_EQ(original.adjacency(original.switch_id(0)).size(), 2u);
+  EXPECT_EQ(copy.n_switches(), 2u);
+  EXPECT_EQ(copy.n_links(), 3u);
+  EXPECT_EQ(copy.adjacency(copy.switch_id(0)).size(), 3u);
+  EXPECT_EQ(Topology{}.n_nodes(), 0u);
+}
+
 TEST(Topology, HostAddressingRoundTrips) {
   const Topology t = make_leaf_spine(2, 2, 3);
   for (unsigned h = 0; h < t.n_hosts(); ++h) {
