@@ -19,17 +19,16 @@
 // a seed derived only from its coordinates, so cells fan out across a
 // ThreadPool into pre-assigned slots and merge sequentially: results are
 // bit-identical for any --jobs value. A self-check re-runs the first cell
-// inline and asserts exact equality.
+// inline and asserts exact equality. --profile prints the merged event-loop
+// profile of every cell; --trace-out and --metrics-out are usage errors.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <vector>
 
-#include "common.hpp"
-#include "core/fabric_experiment.hpp"
+#include "fabric_cells.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -46,22 +45,6 @@ struct CellMeta {
   std::string mechanism;
   unsigned fanin = 0;  // section B only
 };
-
-std::vector<core::FabricExperimentResult> run_cells(
-    const std::vector<core::FabricExperimentConfig>& configs, int jobs) {
-  std::vector<core::FabricExperimentResult> out(configs.size());
-  if (jobs <= 1 || configs.size() <= 1) {
-    for (std::size_t i = 0; i < configs.size(); ++i) out[i] = run_fabric_experiment(configs[i]);
-    return out;
-  }
-  const auto workers = std::min<std::size_t>(static_cast<std::size_t>(jobs), configs.size());
-  util::ThreadPool pool(static_cast<unsigned>(workers));
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    pool.submit([&configs, &out, i] { out[i] = run_fabric_experiment(configs[i]); });
-  }
-  pool.wait_idle();
-  return out;
-}
 
 // Aggregates one metric across the repetitions of one cell.
 struct CellSummary {
@@ -95,7 +78,7 @@ std::vector<bench::MechanismSpec> fabric_mechanisms() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = bench::parse_options(argc, argv);
+  const auto options = bench::parse_fabric_options(argc, argv);
   const int reps = options.repetitions;
 
   // Common workload shape: short multi-packet flows so packet- and
@@ -166,7 +149,7 @@ int main(int argc, char** argv) {
     push_cell({"C", fabrics[2].label, core::fabric_routing_name(routing), 0}, c);
   }
 
-  const auto results = run_cells(configs, options.jobs);
+  const auto results = bench::run_fabric_cells(options, configs);
 
   // Parallel determinism self-check: the first cell's first repetition,
   // re-run inline, must match the (possibly worker-produced) slot exactly.

@@ -20,7 +20,8 @@
 // packet units lost in section B), 3 when they fail, so CI can gate on it.
 // Cells fan out across a ThreadPool into pre-assigned slots; a self-check
 // re-runs the first cell inline and asserts exact equality, keeping results
-// bit-identical for any --jobs value.
+// bit-identical for any --jobs value. --profile prints the merged event-loop
+// profile of every cell; --trace-out and --metrics-out are usage errors.
 #include <algorithm>
 #include <cstdint>
 #include <functional>
@@ -28,13 +29,11 @@
 #include <string>
 #include <vector>
 
-#include "common.hpp"
-#include "core/fabric_experiment.hpp"
+#include "fabric_cells.hpp"
 #include "net/link_fault.hpp"
 #include "recovery.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -56,22 +55,6 @@ struct CellMeta {
   int baseline_cell = -1;  // same (mechanism, install) with no faults
   sim::SimTime first_down;
 };
-
-std::vector<core::FabricExperimentResult> run_cells(
-    const std::vector<core::FabricExperimentConfig>& configs, int jobs) {
-  std::vector<core::FabricExperimentResult> out(configs.size());
-  if (jobs <= 1 || configs.size() <= 1) {
-    for (std::size_t i = 0; i < configs.size(); ++i) out[i] = run_fabric_experiment(configs[i]);
-    return out;
-  }
-  const auto workers = std::min<std::size_t>(static_cast<std::size_t>(jobs), configs.size());
-  util::ThreadPool pool(static_cast<unsigned>(workers));
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    pool.submit([&configs, &out, i] { out[i] = run_fabric_experiment(configs[i]); });
-  }
-  pool.wait_idle();
-  return out;
-}
 
 // Timeline comparison of one fault repetition against its same-seed no-fault
 // baseline (identical workload, so differences are the faults').
@@ -133,7 +116,7 @@ BinAnalysis analyze_bins(const core::FabricExperimentResult& fault,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = bench::parse_options(argc, argv);
+  const auto options = bench::parse_fabric_options(argc, argv);
   const int reps = options.repetitions;
 
   // 2 spines x 2 leaves x 2 hosts: every leaf has an ECMP alternative, so a
@@ -220,7 +203,7 @@ int main(int argc, char** argv) {
     for (int rep = 0; rep < reps; ++rep) {
       core::FabricExperimentConfig c = cell;
       c.seed = options.seed * 131 + static_cast<std::uint64_t>(rep);
-      c.link_faults = faults(c.seed);
+      c.fabric.link_faults = faults(c.seed);
       configs.push_back(std::move(c));
       cell_of.push_back(cell_index);
     }
@@ -263,7 +246,7 @@ int main(int argc, char** argv) {
     crash.switch_index = target_leaf;
     crash.crash_at = sim::SimTime::milliseconds(20);
     crash.restart_at = sim::SimTime::milliseconds(70);
-    c.switch_crashes.push_back(crash);
+    c.fabric.switch_crashes.push_back(crash);
     const int cell =
         push_cell({"B", mechanism.label, "per-hop", "leaf-crash", -1, crash.crash_at}, c,
                   no_faults);
@@ -271,7 +254,7 @@ int main(int argc, char** argv) {
         cell;
   }
 
-  const auto results = run_cells(configs, options.jobs);
+  const auto results = bench::run_fabric_cells(options, configs);
 
   // Parallel determinism self-check: the first cell's first repetition,
   // re-run inline, must match the (possibly worker-produced) slot exactly.

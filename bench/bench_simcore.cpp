@@ -241,7 +241,7 @@ TelemetryScore bench_e1_telemetry(int runs) {
     // Decomposition knobs, mirroring OBS_NO_METRICS/OBS_NO_TRACER: drop one
     // telemetry layer via the environment to attribute a regression.
     obs::FabricObservatory observatory;
-    if (std::getenv("TELEM_NO_OBSERVATORY") == nullptr) config.observatory = &observatory;
+    if (std::getenv("TELEM_NO_OBSERVATORY") == nullptr) config.testbed.observatory = &observatory;
     if (std::getenv("TELEM_NO_INT") == nullptr) {
       config.testbed.switch_config.telemetry_int_depth = 4;
     }

@@ -4,13 +4,17 @@
 # copy. Exits non-zero on the first missing file or any difference, so a
 # refactor cannot drift a published figure silently.
 #
-# Checked (21 files):
+# Checked (all 29 files):
 #   - the 15 paper-figure CSVs written by the bench_fig* binaries
 #     (fig3-fig8, fig8_avg, fig9a/b-fig13a/b) at their default settings;
+#   - fig2a/fig2b from bench_fig2_control_path_load --rates-coarse --quick;
 #   - model_validation.csv from bench_model_oracle;
-#   - the five bench_telemetry --quick artifacts.
-# Not checked: fig2a/fig2b. The committed files predate a workload change
-# and no longer regenerate, not even with bench_fig2 (see CHANGES.md).
+#   - the five bench_telemetry --quick artifacts;
+#   - the fabric-experiment artifacts from --quick runs: fabric.csv
+#     (bench_fabric), failover.csv and failover_crash.csv (bench_failover),
+#     mmu.csv (bench_mmu), robustness_loss.csv and robustness_outage.csv
+#     (bench_robustness_loss). These cover the closed-loop, link-fault,
+#     switch-crash and channel-fault paths.
 #
 # Usage: scripts/check_results.sh [build_dir] [jobs]
 set -euo pipefail
@@ -31,12 +35,17 @@ for fig in fig3_controller_usage fig4_switch_usage fig5_flow_setup_delay \
            fig12_flow_delays fig13_buffer_utilization; do
   run "bench_$fig" --csv-dir "$OUT" --jobs "$JOBS" --quiet
 done
+run bench_fig2_control_path_load --rates-coarse --quick --csv-dir "$OUT" --jobs "$JOBS" --quiet
 run bench_model_oracle --csv-dir "$OUT" --jobs "$JOBS"
 run bench_telemetry --quick --csv-dir "$OUT" --jobs "$JOBS"
+for bench in bench_fabric bench_failover bench_mmu bench_robustness_loss; do
+  run "$bench" --quick --csv-dir "$OUT" --jobs "$JOBS"
+done
 
 status=0
-for name in fig3 fig4 fig5 fig6 fig7 fig8 fig8_avg fig9a fig9b fig10 fig11 fig12a fig12b \
-            fig13a fig13b model_validation; do
+for name in fig2a fig2b fig3 fig4 fig5 fig6 fig7 fig8 fig8_avg fig9a fig9b fig10 fig11 fig12a \
+            fig12b fig13a fig13b model_validation fabric failover failover_crash mmu \
+            robustness_loss robustness_outage; do
   files+=("$name.csv")
 done
 files+=(bench_telemetry_contention.csv bench_telemetry_heatmap.csv bench_telemetry_fates.csv

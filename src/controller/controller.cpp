@@ -222,7 +222,6 @@ void Controller::on_message(std::uint64_t datapath_id, const of::OfMessage& msg)
     ++counters_.errors_seen;
   } else if (const auto* flow_stats = std::get_if<of::FlowStatsReply>(&msg)) {
     account_stats_reply(datapath_id, flow_stats->xid);
-    last_flow_stats_ = *flow_stats;
   } else if (const auto* agg = std::get_if<of::AggregateStatsReply>(&msg)) {
     account_stats_reply(datapath_id, agg->xid);
     last_aggregate_stats_ = *agg;

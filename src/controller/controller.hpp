@@ -164,9 +164,6 @@ class Controller {
   [[nodiscard]] const std::optional<of::PortStatsReply>& last_port_stats() const {
     return last_port_stats_;
   }
-  [[nodiscard]] const std::optional<of::FlowStatsReply>& last_flow_stats() const {
-    return last_flow_stats_;
-  }
 
   [[nodiscard]] sim::CpuServer& cpu() { return cpu_; }
   [[nodiscard]] const ControllerCounters& counters() const { return counters_; }
@@ -191,11 +188,9 @@ class Controller {
   // controller is the only writer). Requires the fabric dpid convention:
   // switch index i <-> datapath_id i + 1.
   void enable_topology_routing(topo::Router& router, RouteInstallMode mode);
-  [[nodiscard]] bool topology_routing() const { return router_ != nullptr; }
 
-  // Installed-rule bookkeeping (topology mode): number of rules the
-  // controller believes are live, and how many ride a given topology link.
-  [[nodiscard]] std::size_t installed_rule_count() const { return installed_rules_.size(); }
+  // Installed-rule bookkeeping (topology mode): how many of the rules the
+  // controller believes are live ride a given topology link.
   [[nodiscard]] std::size_t installed_rules_on_link(std::size_t link_index) const;
 
   void reset_counters() {
@@ -309,7 +304,6 @@ class Controller {
   sim::EventHandle poll_event_;
   std::optional<of::AggregateStatsReply> last_aggregate_stats_;
   std::optional<of::PortStatsReply> last_port_stats_;
-  std::optional<of::FlowStatsReply> last_flow_stats_;
 };
 
 }  // namespace sdnbuf::ctrl

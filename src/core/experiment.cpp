@@ -1,10 +1,7 @@
 #include "core/experiment.hpp"
 
-#include <algorithm>
-#include <optional>
 #include <sstream>
 
-#include "util/check.hpp"
 #include "util/csv.hpp"
 
 namespace sdnbuf::core {
@@ -23,23 +20,7 @@ void install_metrics(obs::MetricsRegistry& registry, Testbed& bed,
   registry.set_meta("snapshot_interval_ms",
                     util::format_double(config.metrics_interval.ms(), 6));
 
-  obs::SwitchInstruments si;
-  si.pkt_in_bytes = &registry.histogram("switch.pkt_in_bytes", 16.0);
-  bed.ovs().set_instruments(si);
-
-  obs::BufferInstruments bi;
-  bi.residency_ms = &registry.histogram("buffer.residency_ms", 0.125);
-  bed.ovs().set_buffer_instruments(bi);
-
-  obs::ChannelInstruments chi;
-  chi.wire_bytes_to_controller = &registry.histogram("channel.wire_bytes_to_controller", 16.0);
-  chi.wire_bytes_to_switch = &registry.histogram("channel.wire_bytes_to_switch", 16.0);
-  bed.channel().set_instruments(chi);
-
-  obs::ControllerInstruments ci;
-  ci.pkt_in_bytes = &registry.histogram("controller.pkt_in_bytes", 16.0);
-  bed.controller().set_instruments(ci);
-
+  bed.fabric().install_instruments(registry);
   obs::EgressInstruments ei;
   ei.queue_depth = &registry.histogram("egress.queue_depth", 1.0);
   bed.ovs().port_scheduler(Testbed::kHost1Port).set_instruments(ei);
@@ -77,7 +58,7 @@ void install_metrics(obs::MetricsRegistry& registry, Testbed& bed,
   registry.register_poll("egress.highwater_packets.port2", [&bed]() {
     return static_cast<double>(bed.ovs().port_scheduler(Testbed::kHost2Port).highwater_packets());
   });
-  if (config.observatory != nullptr) config.observatory->install_metrics(registry);
+  if (config.testbed.observatory != nullptr) config.testbed.observatory->install_metrics(registry);
 }
 
 }  // namespace
@@ -87,30 +68,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   tb.seed = config.seed;
   tb.switch_config.buffer_mode = config.mode;
   tb.switch_config.buffer_capacity = config.buffer_capacity;
-  tb.observer = config.observer;
-
-  // The tracer rides the same observation points as the invariant checker;
-  // tee only when both are wanted (the tee lives on this frame, outliving
-  // the bed) — a lone tracer is wired directly, skipping a dispatch hop.
-  obs::TeeObserver tee{config.observer, config.tracer};
-  if (config.tracer != nullptr) {
-    tb.observer = config.observer != nullptr ? static_cast<verify::InvariantObserver*>(&tee)
-                                             : config.tracer;
-  }
-
-  tb.observatory = config.observatory;
-
+  Runner runner{config, config.tracer, config.capture};
+  tb.observer = runner.observer(tb.observer);
   Testbed bed{tb};
-  if (config.capture != nullptr) config.capture->attach(bed.channel());
-  if (config.profiler != nullptr) bed.sim().set_profile_sink(config.profiler);
-  bed.warm_up();
-
-  std::optional<obs::MetricsSnapshotter> snapshotter;
-  if (config.metrics != nullptr) {
-    install_metrics(*config.metrics, bed, config);
-    snapshotter.emplace(bed.sim(), *config.metrics, config.metrics_interval);
-    snapshotter->start();
-  }
 
   host::TrafficConfig traffic;
   traffic.rate_mbps = config.rate_mbps;
@@ -124,33 +84,24 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   traffic.dst_mac = bed.host2_mac();
   traffic.src_ip_base = bed.host1_ip();
   traffic.dst_ip = bed.host2_ip();
-
   host::TrafficGenerator gen{bed.sim(), traffic, config.seed * 7919u + 3,
                              [&bed](const net::Packet& p) { bed.inject_from_host1(p); }};
-  gen.start();
-
   const std::uint64_t expected = gen.total_packets();
-  const sim::SimTime send_duration = gen.nominal_gap().scaled(static_cast<double>(expected));
-  const sim::SimTime deadline =
-      bed.sim().now() + send_duration.scaled(1.5) + config.drain_timeout;
 
-  // Run in slices so we can stop as soon as everything is delivered.
-  const sim::SimTime slice = sim::SimTime::milliseconds(20);
-  while (bed.sim().now() < deadline && bed.sink2().packets_received() < expected) {
-    bed.sim().run_until(std::min(bed.sim().now() + slice, deadline));
-  }
-  // Let in-flight control traffic settle, then stop housekeeping and drain.
-  // The snapshotter's recurring tick must stop too, or the drain never runs
-  // out of events.
-  bed.sim().run_until(bed.sim().now() + sim::SimTime::milliseconds(50));
-  if (snapshotter) snapshotter->stop();
-  bed.stop();
-  bed.sim().run();
-  if (config.tracer != nullptr) config.tracer->finalize(bed.sim().now());
-  if (config.metrics != nullptr) {
-    config.metrics->take_snapshot(bed.sim().now());  // final row, post-drain
-    config.metrics->clear_polls();                   // testbed dies with this frame
-  }
+  TrafficSource source;
+  source.open = [&bed] { bed.warm_up(); };
+  source.install_metrics = [&](obs::MetricsRegistry& registry) {
+    install_metrics(registry, bed, config);
+  };
+  source.start = [&] {
+    gen.start();
+    const sim::SimTime send_duration = gen.nominal_gap().scaled(static_cast<double>(expected));
+    return bed.sim().now() + send_duration.scaled(1.5);
+  };
+  // Counts duplicate copies too; the ChannelLossOutageAndCapture golden pins
+  // this rule.
+  source.done = [&] { return bed.sink2().packets_received() >= expected; };
+  runner.run(bed.fabric(), source);
 
   const sim::SimTime t0 = bed.measurement_start();
   const sim::SimTime t1 =
@@ -190,9 +141,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     r.mmu_rejected = mmu->total_rejected();
     r.mmu_peak_pool_cells = mmu->peak_pool_cells();
   }
-  // Fold the telemetry event log inside the measured run — the collector
-  // cost is part of what the overhead benchmark charges telemetry for.
-  if (config.observatory != nullptr) config.observatory->flush();
 
   const auto& up = bed.channel().to_controller_counters();
   const auto& down = bed.channel().to_switch_counters();

@@ -5,18 +5,14 @@
 #include <cstdint>
 #include <string>
 
+#include "core/runner.hpp"
 #include "core/testbed.hpp"
 #include "host/traffic_gen.hpp"
-#include "obs/fabric_observatory.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/trace.hpp"
-#include "openflow/capture.hpp"
 #include "util/stats.hpp"
 
 namespace sdnbuf::core {
 
-struct ExperimentConfig {
+struct ExperimentConfig : RunOptions {
   // Mechanism under test.
   sw::BufferMode mode = sw::BufferMode::NoBuffer;
   std::size_t buffer_capacity = 256;
@@ -33,43 +29,19 @@ struct ExperimentConfig {
 
   std::uint64_t seed = 1;
 
-  // Platform (cost models, link speeds, chain length); mode,
-  // buffer_capacity, seed, observer and observatory here override the
-  // corresponding testbed fields.
+  // Platform (cost models, link speeds, chain length, invariant observer,
+  // telemetry observatory); mode, buffer_capacity and seed above override
+  // the corresponding testbed fields. An invariant observer sees the
+  // warm-up too; call finalize() on the registry after run_experiment
+  // returns.
   TestbedConfig testbed;
 
-  // Extra simulated time allowed for the tail of the run to drain.
-  sim::SimTime drain_timeout = sim::SimTime::seconds(5);
-
-  // Optional invariant-checking observer, wired through the testbed (see
-  // TestbedConfig::observer). Observes the warm-up too; call finalize() on
-  // the registry after run_experiment returns.
-  verify::InvariantObserver* observer = nullptr;
   // Optional control-channel capture, attached before warm-up so two
   // same-seed runs produce byte-identical traces end to end.
   of::ChannelCapture* capture = nullptr;
-
-  // Optional observability sinks (DESIGN.md §10). All null by default; a
-  // null sink costs the datapath exactly one pointer comparison per
-  // potential observation and perturbs no simulated state, so obs-off and
-  // obs-on runs of the same seed produce bit-identical results.
-  //
-  // Metrics: instruments are registered into `metrics` at wiring time and
-  // snapshotted every `metrics_interval` of sim time during the measurement
-  // window (plus one final row after the drain). Polls registered here are
-  // cleared before run_experiment returns (they reference the testbed).
-  obs::MetricsRegistry* metrics = nullptr;
-  sim::SimTime metrics_interval = sim::SimTime::milliseconds(10);
-  // Flow-lifecycle tracer, teed with `observer` when both are present.
-  // run_experiment calls finalize() on it after the drain.
+  // Flow-lifecycle tracer, teed with testbed.observer when both are
+  // present. run_experiment calls finalize() on it after the drain.
   obs::FlowTracer* tracer = nullptr;
-  // Event-loop profiler (wall-clock callback attribution).
-  obs::EventLoopProfiler* profiler = nullptr;
-  // In-fabric telemetry plane (DESIGN.md §15): drop-attribution ledger and
-  // INT stamp harvesting. Null = off; the per-switch INT/sampling knobs live
-  // in testbed.switch_config (telemetry_int_depth / telemetry_sample_period)
-  // and the NetFlow app in testbed.controller_config.flow_monitor_enabled.
-  obs::FabricObservatory* observatory = nullptr;
 };
 
 struct ExperimentResult {

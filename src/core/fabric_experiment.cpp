@@ -1,6 +1,5 @@
 #include "core/fabric_experiment.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -19,19 +18,14 @@ FabricExperimentResult run_fabric_experiment(const FabricExperimentConfig& confi
   fc.seed = config.seed;
   fc.switch_config.buffer_mode = config.mode;
   fc.switch_config.buffer_capacity = config.buffer_capacity;
-  fc.observers = config.observers;
-  fc.link_faults = config.link_faults;
-  fc.switch_crashes = config.switch_crashes;
   fc.observatory = config.observatory;
 
+  Runner runner{config};
   // Heap-allocated on purpose: with the testbed (and so its simulator) on
   // the stack, the fabric-k8 benchmark read 5-12% slower on a 4-vCPU VM.
   const auto bed_owner = std::make_unique<FabricTestbed>(fc);
   FabricTestbed& bed = *bed_owner;
   sim::Simulator& sim = bed.sim();
-  // Topology routing needs no learning warm-up; the measurement window opens
-  // immediately.
-  bed.reset_statistics();
 
   // Closed-loop plumbing: emitted packets go through the reliable sender,
   // and every sink's first-copy delivery acks (and, when a timeline is
@@ -44,29 +38,6 @@ FabricExperimentResult run_fabric_experiment(const FabricExperimentConfig& confi
   }
   std::vector<std::uint64_t> delivered_per_bin;
   const sim::SimTime bin = config.delivery_bin;
-  const sim::SimTime bins_t0 = sim.now();
-  if (config.closed_loop || bin > sim::SimTime::zero()) {
-    for (unsigned h = 0; h < bed.n_hosts(); ++h) {
-      bed.sink_at(h).set_on_receive([&, bin, bins_t0](const net::Packet& p) {
-        if (bin > sim::SimTime::zero()) {
-          const auto idx = static_cast<std::size_t>((sim.now() - bins_t0).ns() / bin.ns());
-          if (idx >= delivered_per_bin.size()) delivered_per_bin.resize(idx + 1, 0);
-          ++delivered_per_bin[idx];
-        }
-        if (sender) sender->acknowledge(p);
-      });
-    }
-  }
-
-  std::optional<obs::MetricsSnapshotter> snapshotter;
-  if (config.metrics != nullptr) {
-    config.metrics->set_meta("mechanism", sw::buffer_mode_name(config.mode));
-    config.metrics->set_meta("pattern", host::traffic_pattern_name(config.pattern));
-    config.metrics->set_meta("seed", std::to_string(config.seed));
-    bed.install_metrics(*config.metrics);
-    snapshotter.emplace(sim, *config.metrics, config.metrics_interval);
-    snapshotter->start();
-  }
 
   host::TrafficMatrixConfig tm;
   tm.pattern = config.pattern;
@@ -92,36 +63,52 @@ FabricExperimentResult run_fabric_experiment(const FabricExperimentConfig& confi
                                       bed.inject_from_host(src, p);
                                     }
                                   });
-  gen.start();
 
+  TrafficSource source;
+  // Topology routing needs no learning warm-up; the measurement window opens
+  // immediately.
+  source.open = [&] {
+    bed.reset_statistics();
+    if (!sender && bin <= sim::SimTime::zero()) return;
+    const sim::SimTime bins_t0 = sim.now();
+    for (unsigned h = 0; h < bed.n_hosts(); ++h) {
+      bed.sink_at(h).set_on_receive([&, bins_t0](const net::Packet& p) {
+        if (bin > sim::SimTime::zero()) {
+          const auto idx = static_cast<std::size_t>((sim.now() - bins_t0).ns() / bin.ns());
+          if (idx >= delivered_per_bin.size()) delivered_per_bin.resize(idx + 1, 0);
+          ++delivered_per_bin[idx];
+        }
+        if (sender) sender->acknowledge(p);
+      });
+    }
+  };
+  source.install_metrics = [&](obs::MetricsRegistry& registry) {
+    registry.set_meta("mechanism", sw::buffer_mode_name(config.mode));
+    registry.set_meta("pattern", host::traffic_pattern_name(config.pattern));
+    registry.set_meta("seed", std::to_string(config.seed));
+    bed.install_metrics(registry);
+  };
   // Arrivals end at the horizon; the longest flow can keep pacing packets for
   // max_packets gaps after that. Only once emission is provably over does
   // "delivered == emitted" mean the run is done.
-  const sim::SimTime per_packet_gap =
-      sim::transmission_time(config.frame_size, config.in_flow_rate_mbps * 1e6);
-  const sim::SimTime horizon = sim.now() + sim::SimTime::from_seconds(config.duration_s);
-  const sim::SimTime emission_done =
-      horizon + per_packet_gap.scaled(1.5 * static_cast<double>(config.max_packets) + 1.0);
-  const sim::SimTime deadline = emission_done + config.drain_timeout;
-
-  const sim::SimTime slice = sim::SimTime::milliseconds(20);
-  const auto work_remains = [&]() {
-    if (sender) return sender->outstanding() > 0;
-    return bed.total_delivered() < gen.packets_emitted();
+  sim::SimTime emission_done;
+  source.start = [&] {
+    gen.start();
+    const sim::SimTime per_packet_gap =
+        sim::transmission_time(config.frame_size, config.in_flow_rate_mbps * 1e6);
+    const sim::SimTime horizon = sim.now() + sim::SimTime::from_seconds(config.duration_s);
+    emission_done =
+        horizon + per_packet_gap.scaled(1.5 * static_cast<double>(config.max_packets) + 1.0);
+    return emission_done;
   };
-  while (sim.now() < deadline && (sim.now() < emission_done || work_remains())) {
-    sim.run_until(std::min(sim.now() + slice, deadline));
-  }
-  // Let in-flight control traffic settle, then stop housekeeping and drain.
-  sim.run_until(sim.now() + sim::SimTime::milliseconds(50));
-  if (snapshotter) snapshotter->stop();
-  if (sender) sender->stop();
-  bed.stop();
-  sim.run();
-  if (config.metrics != nullptr) {
-    config.metrics->take_snapshot(sim.now());  // final row, post-drain
-    config.metrics->clear_polls();             // testbed dies with this frame
-  }
+  source.done = [&] {
+    if (sim.now() < emission_done) return false;
+    return sender ? sender->outstanding() == 0 : bed.total_delivered() >= gen.packets_emitted();
+  };
+  source.stop = [&] {
+    if (sender) sender->stop();
+  };
+  runner.run(bed, source);
 
   const sim::SimTime t0 = bed.measurement_start();
   const sim::SimTime t1 = sim.now();
@@ -130,7 +117,7 @@ FabricExperimentResult run_fabric_experiment(const FabricExperimentConfig& confi
   r.flows = gen.flows_started();
   r.packets_sent = gen.packets_emitted();
   r.packets_delivered = bed.total_delivered();
-  r.duplicates = bed.total_duplicates();
+  for (unsigned h = 0; h < bed.n_hosts(); ++h) r.duplicates += bed.sink_at(h).duplicate_packets();
   r.pkt_ins = bed.total_pkt_ins();
   const ctrl::ControllerCounters& cc = bed.controller().counters();
   r.full_frame_pkt_ins = cc.full_frame_pkt_ins;
@@ -138,33 +125,38 @@ FabricExperimentResult run_fabric_experiment(const FabricExperimentConfig& confi
   r.pkt_outs = cc.pkt_outs_sent;
   r.path_preinstalls = cc.path_preinstalls;
   r.unroutable_drops = cc.unroutable_drops;
-  r.control_msgs = bed.total_control_msgs();
   r.control_bytes = bed.total_control_bytes();
   r.duration_s = (t1 - t0).sec();
   if (r.duration_s > 0) {
     r.control_mbps = static_cast<double>(r.control_bytes) * 8.0 / r.duration_s / 1e6;
   }
   r.first_packet_ms = bed.first_packet_ms();
-  r.buffer_avg_units = bed.buffer_occupancy_mean_sum();
-  r.buffer_max_units = static_cast<double>(bed.buffer_occupancy_max_sum());
   r.delivered = bed.delivered_payloads();
 
   r.link_fault_drops = bed.total_link_fault_drops();
   r.port_status_seen = cc.port_status_seen;
   r.rules_invalidated = cc.rules_invalidated;
   r.link_down_events = cc.link_down_events;
+  // Per-switch sums; buffer units are the Fig. 8 analogue at fabric scale.
+  std::uint64_t buffer_max_units = 0;
   for (unsigned i = 0; i < bed.n_switches(); ++i) {
-    r.switch_crashes += bed.switch_at(i).counters().crashes;
-    r.buffer_units_expired += bed.switch_at(i).counters().buffer_units_expired;
-    r.flow_samples += bed.switch_at(i).counters().flow_samples_sent;
-    r.int_stamps += bed.switch_at(i).counters().int_stamps_applied;
+    const sw::Switch& s = bed.switch_at(i);
+    r.switch_crashes += s.counters().crashes;
+    r.buffer_units_expired += s.counters().buffer_units_expired;
+    r.flow_samples += s.counters().flow_samples_sent;
+    r.int_stamps += s.counters().int_stamps_applied;
+    if (const auto* occ = s.buffer_occupancy(); occ != nullptr) {
+      r.buffer_avg_units += occ->time_weighted_mean(t1);
+      buffer_max_units += occ->max();
+    }
+    const of::Channel& ch = bed.channel_at(i);
+    r.control_msgs +=
+        ch.to_controller_counters().total_count() + ch.to_switch_counters().total_count();
   }
+  r.buffer_max_units = static_cast<double>(buffer_max_units);
   r.mmu_rejected = bed.total_mmu_rejected();
   r.mmu_peak_pool_cells = bed.mmu_peak_pool_cells_sum();
   r.flow_samples_seen = cc.flow_samples_seen;
-  // Fold the telemetry event log inside the measured run — the collector
-  // cost is part of what the overhead benchmark charges telemetry for.
-  if (config.observatory != nullptr) config.observatory->flush();
   r.delivered_per_bin = std::move(delivered_per_bin);
   r.last_fault_clear = bed.last_fault_clear();
   if (sender) {

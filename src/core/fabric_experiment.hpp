@@ -6,6 +6,7 @@
 
 #include <cstdint>
 
+#include "core/runner.hpp"
 #include "core/fabric_testbed.hpp"
 #include "host/reliable_sender.hpp"
 #include "host/traffic_matrix.hpp"
@@ -13,7 +14,7 @@
 
 namespace sdnbuf::core {
 
-struct FabricExperimentConfig {
+struct FabricExperimentConfig : RunOptions {
   topo::Topology topology;
   FabricRouting routing = FabricRouting::TopologyPerHop;
 
@@ -36,29 +37,16 @@ struct FabricExperimentConfig {
 
   std::uint64_t seed = 1;
 
-  // Platform template (cost models, link speeds); mode/buffer_capacity/seed
-  // above override the corresponding fields.
+  // Platform template (cost models, link speeds, per-switch invariant
+  // observers, data-plane faults); topology, routing, mode,
+  // buffer_capacity, seed and observatory here override the corresponding
+  // fields. Call finalize() on the observers' registries afterwards. An empty
+  // fault plane leaves runs byte-identical.
   FabricConfig fabric;
-
-  // Extra simulated time allowed for the tail of the run to drain.
-  sim::SimTime drain_timeout = sim::SimTime::seconds(5);
-
-  // Per-switch invariant observers (forwarded into FabricConfig::observers;
-  // empty = no checking). Call finalize() on the registries afterwards.
-  std::vector<verify::InvariantObserver*> observers;
-
-  // Optional metrics registry: per-switch instruments + fabric gauges are
-  // installed before the run and polls cleared before return.
-  obs::MetricsRegistry* metrics = nullptr;
-  sim::SimTime metrics_interval = sim::SimTime::milliseconds(10);
 
   // Optional telemetry observatory (forwarded into FabricConfig).
   obs::FabricObservatory* observatory = nullptr;
 
-  // --- data-plane fault plane (all inert by default) ---
-  // Forwarded into FabricConfig; empty = fault-free, byte-identical runs.
-  std::vector<LinkFaultSpec> link_faults;
-  std::vector<SwitchCrashSpec> switch_crashes;
   // Closed-loop mode: every emitted packet goes through a ReliableSender
   // that retransmits on timeout until the destination sink acks the first
   // copy — loss becomes re-offered load instead of a silent gap.

@@ -239,42 +239,10 @@ std::uint64_t FabricTestbed::total_control_bytes() const {
   return n;
 }
 
-std::uint64_t FabricTestbed::total_control_msgs() const {
-  std::uint64_t n = 0;
-  for (const auto& c : channels_) {
-    n += c->to_controller_counters().total_count() + c->to_switch_counters().total_count();
-  }
-  return n;
-}
-
 std::uint64_t FabricTestbed::total_delivered() const {
   std::uint64_t n = 0;
   for (const auto& s : sinks_) n += s.packets_received();
   return n;
-}
-
-std::uint64_t FabricTestbed::total_duplicates() const {
-  std::uint64_t n = 0;
-  for (const auto& s : sinks_) n += s.duplicate_packets();
-  return n;
-}
-
-double FabricTestbed::buffer_occupancy_mean_sum() const {
-  double sum = 0.0;
-  for (const auto& s : switches_) {
-    if (const auto* occ = s->buffer_occupancy(); occ != nullptr) {
-      sum += occ->time_weighted_mean(sim_.now());
-    }
-  }
-  return sum;
-}
-
-std::uint64_t FabricTestbed::buffer_occupancy_max_sum() const {
-  std::uint64_t sum = 0;
-  for (const auto& s : switches_) {
-    if (const auto* occ = s->buffer_occupancy(); occ != nullptr) sum += occ->max();
-  }
-  return sum;
 }
 
 std::uint64_t FabricTestbed::total_mmu_rejected() const {
@@ -304,25 +272,7 @@ void FabricTestbed::install_metrics(obs::MetricsRegistry& registry) {
                                     ",switches=" + std::to_string(n_switches()) +
                                     ",links=" + std::to_string(topo_.n_links()));
   registry.set_meta("routing", fabric_routing_name(routing_));
-
-  // Shared histograms aggregate the distribution across the fabric; each
-  // switch still gets its own bundle instance.
-  obs::SwitchInstruments si;
-  si.pkt_in_bytes = &registry.histogram("switch.pkt_in_bytes", 16.0);
-  obs::BufferInstruments bi;
-  bi.residency_ms = &registry.histogram("buffer.residency_ms", 0.125);
-  obs::ChannelInstruments chi;
-  chi.wire_bytes_to_controller = &registry.histogram("channel.wire_bytes_to_controller", 16.0);
-  chi.wire_bytes_to_switch = &registry.histogram("channel.wire_bytes_to_switch", 16.0);
-  for (unsigned i = 0; i < n_switches(); ++i) {
-    switches_[i]->set_instruments(si);
-    switches_[i]->set_buffer_instruments(bi);
-    channels_[i]->set_instruments(chi);
-  }
-
-  obs::ControllerInstruments ci;
-  ci.pkt_in_bytes = &registry.histogram("controller.pkt_in_bytes", 16.0);
-  controller_->set_instruments(ci);
+  install_instruments(registry);
 
   // Per-switch poll gauges, prefixed with the switch name.
   for (unsigned i = 0; i < n_switches(); ++i) {
@@ -379,6 +329,26 @@ void FabricTestbed::install_metrics(obs::MetricsRegistry& registry) {
     });
   }
   if (observatory_ != nullptr) observatory_->install_metrics(registry);
+}
+
+void FabricTestbed::install_instruments(obs::MetricsRegistry& registry) {
+  // Shared histograms aggregate the distribution across the fabric; each
+  // switch still gets its own bundle instance.
+  obs::SwitchInstruments si;
+  si.pkt_in_bytes = &registry.histogram("switch.pkt_in_bytes", 16.0);
+  obs::BufferInstruments bi;
+  bi.residency_ms = &registry.histogram("buffer.residency_ms", 0.125);
+  obs::ChannelInstruments chi;
+  chi.wire_bytes_to_controller = &registry.histogram("channel.wire_bytes_to_controller", 16.0);
+  chi.wire_bytes_to_switch = &registry.histogram("channel.wire_bytes_to_switch", 16.0);
+  for (unsigned i = 0; i < n_switches(); ++i) {
+    switches_[i]->set_instruments(si);
+    switches_[i]->set_buffer_instruments(bi);
+    channels_[i]->set_instruments(chi);
+  }
+  obs::ControllerInstruments ci;
+  ci.pkt_in_bytes = &registry.histogram("controller.pkt_in_bytes", 16.0);
+  controller_->set_instruments(ci);
 }
 
 void FabricTestbed::stop() {

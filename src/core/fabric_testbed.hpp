@@ -116,7 +116,6 @@ class FabricTestbed {
   // controller schedule on.
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
   [[nodiscard]] const topo::Topology& topology() const { return topo_; }
-  [[nodiscard]] FabricRouting routing() const { return routing_; }
 
   // Frames lost to link outages, summed over both halves of every data link.
   [[nodiscard]] std::uint64_t total_link_fault_drops() const;
@@ -132,20 +131,15 @@ class FabricTestbed {
   [[nodiscard]] net::DuplexLink& control_link_at(unsigned index) {
     return *control_links_.at(index);
   }
-  [[nodiscard]] net::DuplexLink& data_link_at(std::size_t index) { return *data_links_.at(index); }
   [[nodiscard]] ctrl::Controller& controller() { return *controller_; }
   [[nodiscard]] host::HostSink& sink_at(unsigned host_index) { return sinks_.at(host_index); }
+  // The telemetry observatory this fabric feeds; null when telemetry is off.
+  [[nodiscard]] obs::FabricObservatory* observatory() const { return observatory_; }
 
   // Sums across every switch / control channel.
   [[nodiscard]] std::uint64_t total_pkt_ins() const;
   [[nodiscard]] std::uint64_t total_control_bytes() const;
-  [[nodiscard]] std::uint64_t total_control_msgs() const;
   [[nodiscard]] std::uint64_t total_delivered() const;
-  [[nodiscard]] std::uint64_t total_duplicates() const;
-  // Buffer occupancy summed over switches: time-weighted mean at `now` and
-  // the sum of per-switch maxima.
-  [[nodiscard]] double buffer_occupancy_mean_sum() const;
-  [[nodiscard]] std::uint64_t buffer_occupancy_max_sum() const;
   // Shared-memory MMU accounting summed over switches (zero with MMU off):
   // admissions refused by the sharing policy, and per-switch peak pool
   // occupancies (cells).
@@ -162,14 +156,18 @@ class FabricTestbed {
 
   [[nodiscard]] sim::SimTime measurement_start() const { return measurement_start_; }
 
-  // Attaches per-switch instrument bundles plus fabric-wide poll gauges to
-  // `registry`. Histograms aggregate across switches; per-switch gauges are
-  // prefixed with the switch name.
+  // Attaches the instrument bundles plus fabric-wide poll gauges to
+  // `registry`; per-switch gauges are prefixed with the switch name.
   void install_metrics(obs::MetricsRegistry& registry);
+  // Just the per-switch, channel and controller instrument bundles; their
+  // histograms aggregate across switches.
+  void install_instruments(obs::MetricsRegistry& registry);
 
   // Stops all housekeeping so Simulator::run() can drain.
   void stop();
 
+  // Resets taps, CPU meters, counters and occupancy statistics; marks the
+  // start of the measurement window.
   void reset_statistics();
 
  private:

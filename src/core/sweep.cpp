@@ -75,9 +75,10 @@ SweepResult run_sweep(const SweepConfig& config, std::string label, const Progre
   const std::size_t cells = rates.size() * static_cast<std::size_t>(config.repetitions);
   // Observer / capture / obs sinks are single shared objects; concurrent
   // cells would race on them, so those configs stay on the sequential path.
-  const bool shared_sinks = config.base.observer != nullptr || config.base.capture != nullptr ||
-                            config.base.metrics != nullptr || config.base.tracer != nullptr ||
-                            config.base.profiler != nullptr;
+  const ExperimentConfig& b = config.base;
+  const bool shared_sinks = b.testbed.observer != nullptr || b.testbed.observatory != nullptr ||
+                            b.capture != nullptr || b.metrics != nullptr ||
+                            b.tracer != nullptr || b.profiler != nullptr;
   const std::size_t jobs =
       shared_sinks ? 1
                    : std::min<std::size_t>(std::max(config.jobs, 1), std::max<std::size_t>(cells, 1));

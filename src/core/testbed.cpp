@@ -75,7 +75,7 @@ void Testbed::warm_up() {
 
   SDNBUF_CHECK_MSG(learned_everywhere(host1_mac()) && learned_everywhere(host2_mac()),
                    "warm-up failed to teach the controller both host locations");
-  reset_statistics();
+  fabric_.reset_statistics();
 
   // Arm channel faults only now: warm-up always runs over a clean channel.
   // Configured outage windows are relative to the measurement start.

@@ -104,10 +104,6 @@ class Testbed {
   // Stops all housekeeping so Simulator::run() can drain.
   void stop() { fabric_.stop(); }
 
-  // Resets taps, CPU meters, counters and occupancy statistics; marks the
-  // start of the measurement window.
-  void reset_statistics() { fabric_.reset_statistics(); }
-
  private:
   // Declared before the fabric so it outlives the switch and sinks that
   // hold pointers to it.

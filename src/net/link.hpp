@@ -76,12 +76,6 @@ class Link {
   // Attaches a fault schedule (owned by the caller, may be null). The
   // zero-schedule path is byte-identical to a link without one.
   void set_fault_schedule(const LinkFaultSchedule* faults) { faults_ = faults; }
-  [[nodiscard]] const LinkFaultSchedule* fault_schedule() const { return faults_; }
-
-  // Is the link up at instant `t` under its fault schedule?
-  [[nodiscard]] bool up_at(sim::SimTime t) const {
-    return faults_ == nullptr || !faults_->down_at(t);
-  }
 
   // Caps the untransmitted backlog; unlimited by default.
   void set_queue_limit_bytes(std::uint64_t limit) { queue_limit_bytes_ = limit; }

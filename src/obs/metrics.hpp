@@ -138,9 +138,6 @@ class MetricsRegistry {
   void take_snapshot(sim::SimTime now);
 
   [[nodiscard]] std::size_t snapshot_count() const { return snapshots_.size(); }
-  [[nodiscard]] std::size_t instrument_count() const {
-    return counters_.size() + gauges_.size() + histograms_.size() + polls_.size();
-  }
 
   [[nodiscard]] const Counter* find_counter(const std::string& name) const;
   [[nodiscard]] const Gauge* find_gauge(const std::string& name) const;

@@ -31,8 +31,6 @@ class CpuServer {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] unsigned cores() const { return cores_; }
-  [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
-  [[nodiscard]] unsigned busy_cores() const { return busy_; }
 
   // Total accumulated busy time across all cores (completed portions only).
   [[nodiscard]] SimTime busy_time() const { return busy_time_; }

@@ -31,7 +31,6 @@ class SimTime {
     return SimTime{static_cast<std::int64_t>(s * 1e9 + (s >= 0 ? 0.5 : -0.5))};
   }
   [[nodiscard]] static SimTime from_microseconds(double us) { return from_seconds(us * 1e-6); }
-  [[nodiscard]] static SimTime from_milliseconds(double ms) { return from_seconds(ms * 1e-3); }
   [[nodiscard]] static constexpr SimTime zero() { return SimTime{}; }
   [[nodiscard]] static constexpr SimTime max() { return SimTime{INT64_MAX}; }
 

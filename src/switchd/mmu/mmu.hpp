@@ -113,9 +113,7 @@ class SharedMemoryMmu {
     return (bytes + config_.cell_bytes - 1) / config_.cell_bytes;
   }
 
-  [[nodiscard]] PolicyKind policy_kind() const { return policy_->kind(); }
   [[nodiscard]] const MmuConfig& config() const { return config_; }
-  [[nodiscard]] std::size_t n_queues() const { return queues_.size(); }
 
   [[nodiscard]] std::uint64_t pool_cells_used() const { return pool_.used_cells; }
   [[nodiscard]] std::uint64_t peak_pool_cells() const { return peak_pool_cells_; }

@@ -186,7 +186,7 @@ static void run_fabric_check(const Scenario& scenario, ScenarioOutcome& out) {
     cfg.min_packets = 1;
     cfg.max_packets = 6;
     cfg.seed = scenario.seed;
-    cfg.observers = observers;
+    cfg.fabric.observers = observers;
     obs::FabricObservatory obsy;
     if (scenario.has_telemetry()) {
       cfg.observatory = &obsy;
@@ -210,7 +210,7 @@ static void run_fabric_check(const Scenario& scenario, ScenarioOutcome& out) {
             scenario.fabric_fault_seed * 1000003 + li, flap_start, horizon,
             scenario.fabric_flap_mean_up_s, scenario.fabric_flap_mean_down_s);
         if (spec.schedule.empty()) continue;
-        cfg.link_faults.push_back(spec);
+        cfg.fabric.link_faults.push_back(spec);
       }
     }
     const core::FabricExperimentResult r = run_fabric_experiment(cfg);
@@ -386,9 +386,9 @@ ScenarioOutcome run_scenario(const Scenario& scenario) {
   for (std::size_t i = 0; i < 3; ++i) {
     InvariantRegistry registry;
     core::ExperimentConfig cfg = scenario.experiment_config(kModes[i]);
-    cfg.observer = &registry;
+    cfg.testbed.observer = &registry;
     obs::FabricObservatory obsy;
-    if (scenario.has_telemetry()) cfg.observatory = &obsy;
+    if (scenario.has_telemetry()) cfg.testbed.observatory = &obsy;
 
     ModeOutcome& mo = out.modes[i];
     mo.mode = kModes[i];

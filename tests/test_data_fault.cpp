@@ -332,7 +332,7 @@ TEST(FabricFaults, ZeroFaultConfigMatchesInertFaultPlane) {
   core::FabricExperimentConfig inert = failover_config();
   core::LinkFaultSpec empty;
   empty.link_index = first_fabric_link(inert.topology);
-  inert.link_faults.push_back(empty);  // empty schedule: skipped at arming
+  inert.fabric.link_faults.push_back(empty);  // empty schedule: skipped at arming
   const auto armed = run_fabric_experiment(inert);
 
   EXPECT_EQ(plain.packets_sent, armed.packets_sent);
@@ -352,7 +352,7 @@ TEST(FabricFaults, RouteRepairSurvivesASpineOutage) {
   config.reliable.rto = sim::SimTime::milliseconds(20);
   config.reliable.backoff = 1.5;
   config.reliable.max_retransmits = 10;
-  config.link_faults.push_back(
+  config.fabric.link_faults.push_back(
       outage_spec(first_fabric_link(config.topology), ms(60), ms(160)));
   const auto r = run_fabric_experiment(config);
 
@@ -379,7 +379,7 @@ TEST(FabricFaults, FaultRunsAreDeterministic) {
     spec.link_index = li;
     spec.schedule = net::LinkFaultSchedule::flap(config.seed * 1000003 + li, ms(50), ms(200),
                                                  0.06, 0.02);
-    config.link_faults.push_back(spec);
+    config.fabric.link_faults.push_back(spec);
   }
   const auto a = run_fabric_experiment(config);
   const auto b = run_fabric_experiment(config);
@@ -402,11 +402,11 @@ TEST(FabricFaults, ConservationHoldsUnderLinkFaults) {
     registries.push_back(std::make_unique<verify::InvariantRegistry>());
     // Reroutes after a flap may revisit a switch; the ledger must still balance.
     registries.back()->set_allow_revisits(true);
-    config.observers.push_back(registries.back().get());
+    config.fabric.observers.push_back(registries.back().get());
   }
   const auto fabric_link = first_fabric_link(config.topology);
-  config.link_faults.push_back(outage_spec(fabric_link, ms(60), ms(140)));
-  config.link_faults.push_back(outage_spec(fabric_link + 1, ms(90), ms(170)));
+  config.fabric.link_faults.push_back(outage_spec(fabric_link, ms(60), ms(140)));
+  config.fabric.link_faults.push_back(outage_spec(fabric_link + 1, ms(90), ms(170)));
   const auto r = run_fabric_experiment(config);
   EXPECT_GT(r.packets_delivered, 0u);
   for (unsigned i = 0; i < registries.size(); ++i) {
@@ -431,7 +431,7 @@ TEST(FabricFaults, LeafCrashExpiresBufferedUnitsAndClosedLoopRecovers) {
       config.topology.index_of(config.topology.attachment(config.topology.host_id(0)).peer);
   crash.crash_at = ms(20);
   crash.restart_at = ms(70);
-  config.switch_crashes.push_back(crash);
+  config.fabric.switch_crashes.push_back(crash);
 
   const auto r = run_fabric_experiment(config);
   EXPECT_EQ(r.switch_crashes, 1u);

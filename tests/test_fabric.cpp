@@ -3,12 +3,16 @@
 // installation, traffic-matrix patterns, and run-level determinism.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/fabric_experiment.hpp"
 #include "core/fabric_testbed.hpp"
 #include "host/traffic_matrix.hpp"
+#include "obs/profiler.hpp"
 
 namespace sdnbuf::core {
 namespace {
@@ -275,6 +279,78 @@ TEST(FabricExperiment, SameSeedIsBitIdentical) {
   config.seed = 22;
   const FabricExperimentResult c = run_fabric_experiment(config);
   EXPECT_NE(a.delivered, c.delivered);
+}
+
+// Every result field at full precision plus the sample and payload
+// vectors: two runs agree on this string iff they agree on everything.
+std::string fingerprint(const FabricExperimentResult& r) {
+  std::ostringstream os;
+  os.precision(17);
+  os << r.flows << ' ' << r.packets_sent << ' ' << r.packets_delivered << ' ' << r.duplicates
+     << ' ' << r.pkt_ins << ' ' << r.full_frame_pkt_ins << ' ' << r.flow_mods << ' '
+     << r.pkt_outs << ' ' << r.path_preinstalls << ' ' << r.unroutable_drops << ' '
+     << r.control_msgs << ' ' << r.control_bytes << ' ' << r.control_mbps << ' '
+     << r.flow_samples << ' ' << r.flow_samples_seen << ' ' << r.int_stamps << ' '
+     << r.buffer_avg_units << ' ' << r.buffer_max_units << ' ' << r.duration_s << ' '
+     << r.drained << ' ' << r.link_fault_drops << ' ' << r.port_status_seen << ' '
+     << r.rules_invalidated << ' ' << r.link_down_events << ' ' << r.switch_crashes << ' '
+     << r.buffer_units_expired << ' ' << r.mmu_rejected << ' ' << r.mmu_peak_pool_cells << ' '
+     << r.unique_offered << ' ' << r.unique_acked << ' ' << r.retransmits << ' ' << r.abandoned
+     << ' ' << r.last_fault_clear.ns() << '\n';
+  for (const double v : r.first_packet_ms.values()) os << v << ' ';
+  for (const std::uint64_t n : r.delivered_per_bin) os << n << ' ';
+  for (const auto& [flow, seq] : r.delivered) os << flow << ':' << seq << ' ';
+  return os.str();
+}
+
+bool ends_with(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() && s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+TEST(FabricExperiment, ProfilerAttributesEveryLayerWithoutPerturbing) {
+  FabricExperimentConfig config;
+  config.topology = topo::make_leaf_spine(2, 2, 2);
+  config.mode = sw::BufferMode::PacketGranularity;
+  config.duration_s = 0.15;
+  config.flow_arrival_per_s = 200.0;
+  config.max_packets = 8;
+  config.seed = 13;
+  const FabricExperimentResult plain = run_fabric_experiment(config);
+
+  const auto events_by_tag = [](const obs::EventLoopProfiler& profiler) {
+    std::map<std::string, std::uint64_t> events;
+    for (const obs::EventLoopProfiler::Row& row : profiler.table()) events[row.tag] = row.events;
+    return events;
+  };
+  std::map<std::string, std::uint64_t> first;
+  for (int run = 0; run < 2; ++run) {
+    obs::EventLoopProfiler profiler;
+    config.profiler = &profiler;
+    const FabricExperimentResult profiled = run_fabric_experiment(config);
+    EXPECT_EQ(fingerprint(plain), fingerprint(profiled));
+
+    // Switch CPUs, the controller CPU and the data/control links all show up.
+    std::uint64_t switch_cpu = 0;
+    std::uint64_t controller_cpu = 0;
+    std::uint64_t links = 0;
+    for (const obs::EventLoopProfiler::Row& row : profiler.table()) {
+      if (ends_with(row.tag, ":cpu")) {
+        (row.tag.rfind("floodlight", 0) == 0 ? controller_cpu : switch_cpu) += row.events;
+      } else if (ends_with(row.tag, ":fwd") || ends_with(row.tag, ":rev")) {
+        links += row.events;
+      }
+    }
+    EXPECT_GT(switch_cpu, 0u);
+    EXPECT_GT(controller_cpu, 0u);
+    EXPECT_GT(links, 0u);
+
+    // Event counts (unlike wall times) are deterministic per tag.
+    if (run == 0) {
+      first = events_by_tag(profiler);
+    } else {
+      EXPECT_EQ(first, events_by_tag(profiler));
+    }
+  }
 }
 
 TEST(FabricExperiment, FullPathCutsPacketInsUnderIncast) {

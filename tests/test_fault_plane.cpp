@@ -310,7 +310,7 @@ TEST(ConnectionLifecycle, ResendCapExpiresFlowUnits) {
   cfg.n_flows = 2;
   cfg.packets_per_flow = 3;
   cfg.seed = 11;
-  cfg.observer = &reg;
+  cfg.testbed.observer = &reg;
   cfg.testbed.fault_profile.loss_to_controller = 1.0;
   cfg.drain_timeout = sim::SimTime::seconds(2);
   const auto r = core::run_experiment(cfg);

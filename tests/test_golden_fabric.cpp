@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/fabric_experiment.hpp"
@@ -156,7 +158,7 @@ TEST(GoldenFabric, ClosedLoopWithLinkFlap) {
     spec.link_index = li;
     spec.schedule = net::LinkFaultSchedule::flap(c.seed * 1000003 + li, SimTime::milliseconds(40),
                                                  SimTime::milliseconds(160), 0.06, 0.02);
-    c.link_faults.push_back(spec);
+    c.fabric.link_faults.push_back(spec);
   }
   const auto r = core::run_fabric_experiment(c);
   ASSERT_GT(r.link_fault_drops + r.rules_invalidated, 0u) << "the flap must hit traffic";
@@ -188,6 +190,38 @@ TEST(GoldenFabric, DynamicThresholdIncastWithObservatory) {
   std::ostringstream summary;
   obsy.write_summary_json(summary);
   expect_digest(fingerprint(r) + '\n' + summary.str(), 0xca9e198a628ccf60ULL);
+}
+
+TEST(GoldenFabric, PerSwitchInvariantsMetricsAndTimeline) {
+  core::FabricExperimentConfig c;
+  c.topology = topo::make_leaf_spine(2, 2, 2);
+  c.routing = core::FabricRouting::TopologyPerHop;
+  c.mode = sw::BufferMode::FlowGranularity;
+  c.buffer_capacity = 64;
+  c.pattern = host::TrafficPattern::Permutation;
+  c.duration_s = 0.2;
+  c.flow_arrival_per_s = 400.0;
+  c.max_packets = 12;
+  c.seed = 23;
+  c.delivery_bin = SimTime::milliseconds(10);
+  std::vector<std::unique_ptr<verify::InvariantRegistry>> registries;
+  for (unsigned i = 0; i < c.topology.n_switches(); ++i) {
+    registries.push_back(std::make_unique<verify::InvariantRegistry>());
+    c.fabric.observers.push_back(registries.back().get());
+  }
+  obs::MetricsRegistry metrics;
+  c.metrics = &metrics;
+  const auto r = core::run_fabric_experiment(c);
+  ASSERT_TRUE(r.drained);
+  ASSERT_FALSE(r.delivered_per_bin.empty());
+  for (const auto& registry : registries) {
+    registry->finalize(/*expect_all_delivered=*/true);
+    ASSERT_TRUE(registry->ok()) << registry->report();
+  }
+  // The per-switch gauges and fabric sums join the digest, byte for byte.
+  std::ostringstream json;
+  metrics.write_json(json);
+  expect_digest(fingerprint(r) + '\n' + json.str(), 0x8e799049b9d57edeULL);
 }
 
 // --- Fig. 1 platform (run_experiment) ---
@@ -239,7 +273,7 @@ TEST(GoldenFig1, InvariantsTracerAndMetrics) {
   obs::MetricsRegistry metrics;
   core::ExperimentConfig c = e1_config(sw::BufferMode::PacketGranularity, 16);
   c.rate_mbps = 90.0;
-  c.observer = &registry;
+  c.testbed.observer = &registry;
   c.tracer = &tracer;
   c.metrics = &metrics;
   const auto r = core::run_experiment(c);
@@ -257,7 +291,7 @@ TEST(GoldenFig1, ObservatoryWithSampling) {
   core::ExperimentConfig c = e1_config(sw::BufferMode::PacketGranularity, 256);
   c.packets_per_flow = 4;
   c.n_flows = 200;
-  c.observatory = &obsy;
+  c.testbed.observatory = &obsy;
   c.testbed.switch_config.telemetry_int_depth = 4;
   c.testbed.switch_config.telemetry_sample_period = 8;
   c.testbed.controller_config.flow_monitor_enabled = true;

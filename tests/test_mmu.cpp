@@ -372,19 +372,19 @@ TEST(PoolConservation, HoldsUnderLinkFlapsAndSwitchCrash) {
     spec.link_index = li;
     spec.schedule = net::LinkFaultSchedule::flap(1000003 * li + 7, sim::SimTime::milliseconds(20),
                                                  sim::SimTime::milliseconds(150), 0.05, 0.01);
-    if (!spec.schedule.empty()) cfg.link_faults.push_back(spec);
+    if (!spec.schedule.empty()) cfg.fabric.link_faults.push_back(spec);
   }
   core::SwitchCrashSpec crash;
   crash.switch_index = 2;  // a spine
   crash.crash_at = sim::SimTime::milliseconds(60);
   crash.restart_at = sim::SimTime::milliseconds(90);
-  cfg.switch_crashes.push_back(crash);
+  cfg.fabric.switch_crashes.push_back(crash);
 
   std::vector<std::unique_ptr<verify::InvariantRegistry>> registries;
   for (unsigned i = 0; i < topology.n_switches(); ++i) {
     registries.push_back(std::make_unique<verify::InvariantRegistry>());
     registries.back()->set_allow_revisits(true);
-    cfg.observers.push_back(registries.back().get());
+    cfg.fabric.observers.push_back(registries.back().get());
   }
   const core::FabricExperimentResult r = core::run_fabric_experiment(cfg);
   EXPECT_GT(r.packets_sent, 0u);

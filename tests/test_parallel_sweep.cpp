@@ -6,9 +6,11 @@
 
 #include <atomic>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/sweep.hpp"
+#include "obs/fabric_observatory.hpp"
 #include "verify/invariants.hpp"
 
 namespace sdnbuf::core {
@@ -85,7 +87,7 @@ TEST(ParallelSweep, ObserverForcesSequentialPathAndStillMatches) {
   const SweepResult plain = run_sweep(sweep, "observed");
 
   verify::InvariantRegistry registry;
-  sweep.base.observer = &registry;
+  sweep.base.testbed.observer = &registry;
   sweep.jobs = 8;
   const SweepResult observed = run_sweep(sweep, "observed");
 
@@ -93,6 +95,28 @@ TEST(ParallelSweep, ObserverForcesSequentialPathAndStillMatches) {
   EXPECT_GT(registry.events_observed(), 0u);
   registry.finalize(/*expect_all_delivered=*/true);
   EXPECT_TRUE(registry.ok()) << registry.report();
+
+  // The telemetry observatory is a shared sink too (its ledger resets per
+  // cell): a multi-cell sweep carrying one must run every cell on the
+  // calling thread, and still match the plain sweep.
+  SweepConfig telemetry = small_sweep();
+  telemetry.jobs = 1;
+  const SweepResult telemetry_plain = run_sweep(telemetry, "observatory");
+  obs::FabricObservatory observatory;
+  telemetry.base.testbed.observatory = &observatory;
+  telemetry.jobs = 8;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> calls{0};
+  std::atomic<int> off_caller{0};
+  const SweepResult telemetry_observed =
+      run_sweep(telemetry, "observatory", [&](double, int) {
+        calls.fetch_add(1);
+        if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+      });
+  EXPECT_EQ(calls.load(), static_cast<int>(telemetry.rates_mbps.size()) * telemetry.repetitions);
+  EXPECT_EQ(off_caller.load(), 0);
+  EXPECT_TRUE(bitwise_equal(telemetry_plain, telemetry_observed));
+  EXPECT_GT(observatory.injected(), 0u);
 }
 
 }  // namespace

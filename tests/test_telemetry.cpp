@@ -429,7 +429,7 @@ TEST(TelemetryContract, PassiveObservatoryPreservesBitIdentity) {
 
   obs::FabricObservatory obsy;
   core::ExperimentConfig with = base;
-  with.observatory = &obsy;  // ledger on, INT/sampling knobs still off
+  with.testbed.observatory = &obsy;  // ledger on, INT/sampling knobs still off
   const core::ExperimentResult b = core::run_experiment(with);
 
   EXPECT_EQ(a.packets_sent, b.packets_sent);

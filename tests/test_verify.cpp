@@ -178,7 +178,7 @@ TEST(InvariantRegistryEndToEnd, CleanRunSatisfiesEveryInvariant) {
     cfg.n_flows = 40;
     cfg.packets_per_flow = 3;
     cfg.seed = 42;
-    cfg.observer = &reg;
+    cfg.testbed.observer = &reg;
     const auto r = core::run_experiment(cfg);
     reg.finalize(r.drained);
     EXPECT_TRUE(r.drained) << sw::buffer_mode_name(mode);
