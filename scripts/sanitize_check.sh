@@ -34,12 +34,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 # silently corrupt predictions. A clean -L model run under UBSan gates that.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L model
 
-# Observability pass: the obs-overhead stage of bench_simcore runs E1 with
-# metrics + tracing + profiler attached, so the whole instrumentation hot
-# path (histogram record, span open/close, JSON render, profiler rows) gets
-# an ASan/UBSan run. Timings are meaningless under sanitizers; only the
-# clean exit matters, hence --no-sweep.
-"$BUILD_DIR/bench/bench_simcore" --quick --no-sweep --out /dev/null
+# Observability pass: bench_obs_overhead runs E1 with metrics + tracing +
+# profiler attached, and again with the telemetry plane on, so the whole
+# instrumentation hot path (histogram record, span open/close, profiler
+# rows, INT stamping, the fate ledger) gets an ASan/UBSan run. Timings are
+# meaningless under sanitizers; only the clean exit matters.
+"$BUILD_DIR/bench/bench_obs_overhead"
 
 "$BUILD_DIR/tests/fuzz_scenarios" --runs "$FUZZ_RUNS" --seed "$FUZZ_SEED"
 # Second pass with channel faults forced on: every scenario exercises the

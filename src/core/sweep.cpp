@@ -103,10 +103,10 @@ SweepResult run_sweep(const SweepConfig& config, std::string label, const Progre
   // task per worker draining a shared atomic cell counter, instead of one
   // queued closure per cell. That turns 2 mutex acquisitions + a condition
   // wakeup + a heap-allocated std::function per cell into a single relaxed
-  // fetch_add, which is what the BENCH_simcore sweep stage was losing to at
-  // fine cell granularity (speedup < 1 at jobs=4). Slot pre-assignment and
-  // the sequential merge are untouched, so results stay bit-identical to
-  // the jobs=1 path for any job count.
+  // fetch_add, which is what small sweeps of short E1 runs were losing to
+  // at fine cell granularity (speedup < 1 at jobs=4). Slot pre-assignment
+  // and the sequential merge are untouched, so results stay bit-identical
+  // to the jobs=1 path for any job count (test_parallel_sweep checks it).
   std::vector<ExperimentResult> cell_results(cells);
   const std::size_t reps = static_cast<std::size_t>(config.repetitions);
   {

@@ -82,7 +82,7 @@ using ProgressFn = std::function<void(double rate_mbps, int repetition)>;
                                     const ProgressFn& progress = nullptr);
 
 // Exact (bitwise) equality across every Summary field of every point — the
-// parallel determinism contract checked by tests and bench_simcore.
+// parallel determinism contract checked by test_parallel_sweep.
 [[nodiscard]] bool bitwise_equal(const SweepResult& a, const SweepResult& b);
 
 // Canonical CSV serialization of a sweep (full precision, one row per
