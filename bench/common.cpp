@@ -28,8 +28,9 @@ Options parse_options(int argc, char** argv) {
     std::exit(1);
   }
   Options options;
-  options.repetitions = static_cast<int>(flags.get_int("reps", 20));
-  if (flags.get_bool("quick", false)) options.repetitions = 3;
+  // An explicit --reps wins; --quick only lowers the default.
+  options.repetitions =
+      static_cast<int>(flags.get_int("reps", flags.get_bool("quick", false) ? 3 : 20));
   if (flags.get_bool("rates-coarse", false)) {
     options.rates = {5, 20, 35, 50, 65, 80, 95};
   }

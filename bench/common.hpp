@@ -58,7 +58,8 @@ struct Options {
 
 // Parses --reps/--quick/--rates-coarse/--csv-dir/--seed/--jobs/--prescreen
 // plus the observability flags --metrics-out/--trace-out/--trace-sample/
-// --profile and --log-level; exits on bad flags.
+// --profile and --log-level; exits on bad flags. --reps defaults to 20, or to
+// 3 under --quick; an explicit --reps wins over --quick.
 [[nodiscard]] Options parse_options(int argc, char** argv);
 
 // Inserts "-<label>" before the path's extension ("m.json" -> "m-x.json").

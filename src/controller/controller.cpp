@@ -73,9 +73,7 @@ void Controller::enable_topology_routing(topo::Router& router, RouteInstallMode 
 }
 
 std::size_t Controller::installed_rules_on_link(std::size_t link_index) const {
-  return static_cast<std::size_t>(
-      std::count_if(installed_rules_.begin(), installed_rules_.end(),
-                    [link_index](const InstalledRule& r) { return r.link == link_index; }));
+  return link_index < rules_per_link_.size() ? rules_per_link_[link_index] : 0;
 }
 
 void Controller::record_installed_rule(std::uint64_t datapath_id, const of::Match& match,
@@ -96,33 +94,52 @@ void Controller::record_installed_rule(std::uint64_t datapath_id, const of::Matc
     if (adj.port != out->port) continue;  // flood/controller ports match nothing
     // flow_mod ADD overwrites an identical match+priority entry on the
     // switch, so refresh in place instead of double-counting.
-    for (InstalledRule& r : installed_rules_) {
-      if (r.datapath_id == datapath_id && r.priority == priority && r.match == match) {
-        r.link = adj.link;
-        return;
-      }
+    const auto [it, fresh] = installed_rules_.try_emplace(RuleKey{datapath_id, match, priority},
+                                                          RuleState{adj.link, next_rule_seq_});
+    if (fresh) {
+      ++next_rule_seq_;
+    } else {
+      --rules_per_link_[it->second.link];
+      it->second.link = adj.link;
     }
-    installed_rules_.push_back(InstalledRule{datapath_id, match, priority, adj.link});
+    if (adj.link >= rules_per_link_.size()) rules_per_link_.resize(adj.link + 1, 0);
+    ++rules_per_link_[adj.link];
     return;
   }
 }
 
 void Controller::forget_rule(std::uint64_t datapath_id, const of::Match& match,
                              std::uint16_t priority) {
-  const auto it = std::find_if(installed_rules_.begin(), installed_rules_.end(),
-                               [&](const InstalledRule& r) {
-                                 return r.datapath_id == datapath_id && r.priority == priority &&
-                                        r.match == match;
-                               });
-  if (it != installed_rules_.end()) installed_rules_.erase(it);
+  const auto it = installed_rules_.find(RuleKey{datapath_id, match, priority});
+  if (it == installed_rules_.end()) return;
+  --rules_per_link_[it->second.link];
+  installed_rules_.erase(it);
+}
+
+template <typename Pred>
+std::vector<Controller::RuleKey> Controller::take_rules(Pred doomed) {
+  std::vector<std::pair<std::uint64_t, RuleKey>> taken;  // (seq, rule)
+  for (auto it = installed_rules_.begin(); it != installed_rules_.end();) {
+    if (doomed(it->first, it->second)) {
+      --rules_per_link_[it->second.link];
+      taken.emplace_back(it->second.seq, it->first);
+      it = installed_rules_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  std::sort(taken.begin(), taken.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<RuleKey> rules;
+  rules.reserve(taken.size());
+  for (auto& [seq, rule] : taken) rules.push_back(std::move(rule));
+  return rules;
 }
 
 void Controller::forget_switch_rules(std::uint64_t datapath_id) {
-  installed_rules_.erase(std::remove_if(installed_rules_.begin(), installed_rules_.end(),
-                                        [datapath_id](const InstalledRule& r) {
-                                          return r.datapath_id == datapath_id;
-                                        }),
-                         installed_rules_.end());
+  (void)take_rules([datapath_id](const RuleKey& rule, const RuleState&) {
+    return rule.datapath_id == datapath_id;
+  });
 }
 
 void Controller::set_invariant_observer_for(std::uint64_t datapath_id,
@@ -302,29 +319,25 @@ void Controller::handle_port_status(std::uint64_t datapath_id, const of::PortSta
       // whole table on link-up keeps the installed rules loop-free: between
       // two up-events the down-set only grows, so all surviving rules were
       // computed against nested failure snapshots and compose acyclically.
-      std::vector<InstalledRule> doomed = std::move(installed_rules_);
-      installed_rules_.clear();
-      send_rule_deletes(std::move(doomed));
+      send_rule_deletes(take_rules([](const RuleKey&, const RuleState&) { return true; }));
       return;
     }
     ++counters_.link_down_events;
     // Every recorded rule riding the dead link is now forwarding into a
     // black hole: delete it on its switch so the next packet of the flow
-    // misses and reroutes over the repaired tables. stable_partition keeps
-    // install order, so the delete sequence is deterministic.
-    const auto it = std::stable_partition(installed_rules_.begin(), installed_rules_.end(),
-                                          [link](const InstalledRule& r) { return r.link != link; });
-    std::vector<InstalledRule> doomed(it, installed_rules_.end());
-    installed_rules_.erase(it, installed_rules_.end());
-    send_rule_deletes(std::move(doomed));
+    // misses and reroutes over the repaired tables. Deletes go out in
+    // install order, so the sequence is deterministic.
+    if (installed_rules_on_link(link) == 0) return;
+    send_rule_deletes(
+        take_rules([link](const RuleKey&, const RuleState& state) { return state.link == link; }));
   });
 }
 
-void Controller::send_rule_deletes(std::vector<InstalledRule> doomed) {
+void Controller::send_rule_deletes(std::vector<RuleKey> doomed) {
   if (doomed.empty()) return;
   cpu_.submit(cost_us(config_.costs.encode_flow_mod_us * static_cast<double>(doomed.size())),
               [this, doomed = std::move(doomed)]() {
-    for (const InstalledRule& rule : doomed) {
+    for (const RuleKey& rule : doomed) {
       SwitchBinding& b = binding(rule.datapath_id);
       of::FlowMod fm;
       fm.xid = b.channel->next_controller_xid();

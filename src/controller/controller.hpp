@@ -19,6 +19,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -239,13 +240,23 @@ class Controller {
   };
 
   // One rule the controller installed somewhere on the fabric, remembered so
-  // route repair can find everything that traverses a failed link. `link` is
-  // the topology link the rule's output port crosses.
-  struct InstalledRule {
+  // route repair can find everything that traverses a failed link. flow_mod
+  // ADD overwrites an identical (match, priority) entry on a switch, so the
+  // triple identifies the rule.
+  struct RuleKey {
     std::uint64_t datapath_id = 0;
     of::Match match;
     std::uint16_t priority = 0;
-    std::size_t link = 0;
+    bool operator==(const RuleKey&) const = default;
+  };
+  struct RuleKeyHash {
+    std::size_t operator()(const RuleKey& k) const noexcept {
+      return util::mix64(of::MatchHash{}(k.match) ^ (k.datapath_id << 16 | k.priority));
+    }
+  };
+  struct RuleState {
+    std::size_t link = 0;    // the topology link the rule's output port crosses
+    std::uint64_t seq = 0;   // install order; a refreshed rule keeps its place
   };
 
   void on_message(std::uint64_t datapath_id, const of::OfMessage& msg);
@@ -269,9 +280,13 @@ class Controller {
                              std::uint16_t priority, const of::ActionList& actions);
   void forget_rule(std::uint64_t datapath_id, const of::Match& match, std::uint16_t priority);
   void forget_switch_rules(std::uint64_t datapath_id);
+  // Drops every recorded rule `doomed(key, state)` selects and returns them in
+  // install order.
+  template <typename Pred>
+  std::vector<RuleKey> take_rules(Pred doomed);
   // Encodes one DeleteStrict per doomed rule (one CPU job for the batch) and
   // sends them to their switches, counting counters_.rules_invalidated.
-  void send_rule_deletes(std::vector<InstalledRule> doomed);
+  void send_rule_deletes(std::vector<RuleKey> doomed);
   // Installs rules on hops[idx..] one CPU job at a time, then answers the
   // originating switch (hops[0]) with respond_with_actions.
   void install_remaining_hops(std::shared_ptr<const std::vector<PathHop>> hops, std::size_t idx,
@@ -290,7 +305,9 @@ class Controller {
   std::map<std::uint64_t, SwitchBinding> switches_;
   topo::Router* router_ = nullptr;
   RouteInstallMode route_mode_ = RouteInstallMode::PerHopReactive;
-  std::vector<InstalledRule> installed_rules_;
+  std::unordered_map<RuleKey, RuleState, RuleKeyHash> installed_rules_;
+  std::uint64_t next_rule_seq_ = 0;
+  std::vector<std::size_t> rules_per_link_;  // installed_rules_ per link, grown on demand
   ControllerCounters counters_;
   verify::InvariantObserver* observer_ = nullptr;
   obs::ControllerInstruments instr_;

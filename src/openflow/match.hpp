@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "util/rng.hpp"
 
 namespace sdnbuf::of {
 
@@ -70,6 +71,21 @@ struct Match {
   [[nodiscard]] static std::optional<Match> decode(std::span<const std::uint8_t> in);
 
   [[nodiscard]] std::string to_string() const;
+};
+
+// Hash over every field, consistent with Match::operator== (flow-table and
+// controller rule indexes key on whole matches).
+struct MatchHash {
+  [[nodiscard]] std::size_t operator()(const Match& m) const noexcept {
+    std::uint64_t h = util::mix64(m.wildcards | std::uint64_t{m.in_port} << 32 |
+                                  std::uint64_t{m.dl_vlan} << 48);
+    h = util::mix64(h ^ m.dl_src.to_u64() ^ std::uint64_t{m.dl_vlan_pcp} << 48 ^
+                    std::uint64_t{m.nw_tos} << 56);
+    h = util::mix64(h ^ m.dl_dst.to_u64() ^ std::uint64_t{m.dl_type} << 48 ^
+                    std::uint64_t{m.nw_proto} << 56);
+    h = util::mix64(h ^ m.nw_src.value() ^ std::uint64_t{m.nw_dst.value()} << 32);
+    return util::mix64(h ^ m.tp_src ^ std::uint64_t{m.tp_dst} << 16);
+  }
 };
 
 }  // namespace sdnbuf::of

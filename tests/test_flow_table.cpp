@@ -1,12 +1,38 @@
 // Unit tests for the flow table: exact/wildcard lookup, priorities,
-// counters, idle/hard timeouts, capacity eviction (LRU), delete semantics.
+// counters, idle/hard timeouts, capacity eviction (LRU), delete semantics,
+// a differential test against a linear-scan reference table, and a check
+// that constructing a table allocates nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <list>
+#include <new>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "net/packet.hpp"
 #include "switchd/flow_table.hpp"
+#include "util/rng.hpp"
+
+// Test-local allocation counter: every global operator new of this binary
+// lands here.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+// Out of line, so the compiler never pairs an inlined malloc()/free() with
+// a new/delete expression.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sdnbuf::sw {
 namespace {
@@ -318,6 +344,268 @@ TEST_P(FlowTableCapacityTest, NeverExceedsCapacity) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, FlowTableCapacityTest,
                          ::testing::Values(1, 2, 10, 64, 99, 100, 1000));
+
+TEST(FlowTable, ExactSameMatchTwoPriorities) {
+  // Two exact entries with one match: the higher priority answers, and
+  // deleting the lower one leaves the higher one reachable.
+  FlowTable table{16};
+  table.add(exact_entry(0, 1, 10), sim::SimTime::zero());
+  table.add(exact_entry(0, 1, 20), sim::SimTime::zero());
+  const FlowEntry* e = table.lookup(packet_for_flow(0), 1, sim::SimTime::zero());
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->priority, 20);
+  const auto removed = table.remove(of::Match::exact_from(packet_for_flow(0), 1), 10, true);
+  ASSERT_EQ(removed.size(), 1u);
+  EXPECT_EQ(removed[0].entry.priority, 10);
+  e = table.lookup(packet_for_flow(0), 1, sim::SimTime::zero());
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->priority, 20);
+}
+
+TEST(FlowTable, ConstructionAllocatesNothing) {
+  // A fabric builds one table per switch; indexes must grow on first insert,
+  // not be pre-sized to the capacity.
+  const std::size_t before = g_allocations.load();
+  {
+    FlowTable lru{4096};
+    FlowTable fifo{4096, EvictionPolicy::Fifo};
+    FlowTable random{4096, EvictionPolicy::Random};
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+}
+
+// The linear-scan flow table the indexed one replaced (LRU/FIFO only): every
+// operation walks the install-ordered list. Its one deviation from that
+// table is the exact-match answer, the highest-priority exact entry.
+class ReferenceFlowTable {
+ public:
+  ReferenceFlowTable(std::size_t capacity, EvictionPolicy policy)
+      : capacity_(capacity), policy_(policy) {}
+
+  FlowEntry* lookup(const net::Packet& p, std::uint16_t in_port, sim::SimTime now) {
+    FlowEntry* best = const_cast<FlowEntry*>(peek(p, in_port));
+    if (best != nullptr) {
+      best->last_used = now;
+      ++best->packet_count;
+      best->byte_count += p.frame_size;
+    }
+    return best;
+  }
+
+  const FlowEntry* peek(const net::Packet& p, std::uint16_t in_port) const {
+    const FlowEntry* best = nullptr;
+    const auto exact = of::Match::exact_from(p, in_port);
+    if (exact.wildcards == 0) {
+      for (const FlowEntry& e : entries_) {
+        if (e.match == exact && (best == nullptr || e.priority > best->priority)) best = &e;
+      }
+    }
+    for (const auto& it : wildcard_entries_) {
+      if (best && it->priority <= best->priority) continue;
+      if (it->match.matches(p, in_port)) best = &*it;
+    }
+    return best;
+  }
+
+  FlowTable::AddResult add(FlowEntry entry, sim::SimTime now) {
+    FlowTable::AddResult result;
+    entry.installed_at = now;
+    entry.last_used = now;
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (it->match == entry.match && it->priority == entry.priority) {
+        unlink(it);
+        *it = std::move(entry);
+        if (it->match.wildcards != 0) wildcard_entries_.push_back(it);
+        result.replaced = true;
+        return result;
+      }
+    }
+    while (entries_.size() >= capacity_) {
+      auto victim = entries_.begin();
+      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+        const bool older = policy_ == EvictionPolicy::Lru ? it->last_used < victim->last_used
+                                                          : it->installed_at < victim->installed_at;
+        if (older) victim = it;
+      }
+      result.evicted.push_back(take(victim, of::FlowRemovedReason::Eviction));
+    }
+    entries_.push_back(std::move(entry));
+    if (entries_.back().match.wildcards != 0) wildcard_entries_.push_back(std::prev(entries_.end()));
+    return result;
+  }
+
+  std::vector<RemovedEntry> remove(const of::Match& match, std::optional<std::uint16_t> priority,
+                                   bool strict) {
+    std::vector<RemovedEntry> removed;
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      const bool hit = strict ? (it->match == match && (!priority || it->priority == *priority))
+                              : match.subsumes(it->match);
+      auto here = it++;
+      if (hit) removed.push_back(take(here, of::FlowRemovedReason::Delete));
+    }
+    return removed;
+  }
+
+  std::vector<RemovedEntry> expire(sim::SimTime now) {
+    std::vector<RemovedEntry> removed;
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      auto here = it++;
+      if (here->hard_timeout_s != 0 &&
+          now - here->installed_at >= sim::SimTime::seconds(here->hard_timeout_s)) {
+        removed.push_back(take(here, of::FlowRemovedReason::HardTimeout));
+      } else if (here->idle_timeout_s != 0 &&
+                 now - here->last_used >= sim::SimTime::seconds(here->idle_timeout_s)) {
+        removed.push_back(take(here, of::FlowRemovedReason::IdleTimeout));
+      }
+    }
+    return removed;
+  }
+
+  std::vector<const FlowEntry*> entries() const {
+    std::vector<const FlowEntry*> out;
+    for (const FlowEntry& e : entries_) out.push_back(&e);
+    return out;
+  }
+
+ private:
+  using EntryIt = std::list<FlowEntry>::iterator;
+
+  void unlink(EntryIt it) {
+    if (it->match.wildcards != 0) {
+      wildcard_entries_.erase(std::find(wildcard_entries_.begin(), wildcard_entries_.end(), it));
+    }
+  }
+  RemovedEntry take(EntryIt it, of::FlowRemovedReason reason) {
+    unlink(it);
+    RemovedEntry removed{std::move(*it), reason};
+    entries_.erase(it);
+    return removed;
+  }
+
+  std::size_t capacity_;
+  EvictionPolicy policy_;
+  std::list<FlowEntry> entries_;
+  std::vector<EntryIt> wildcard_entries_;
+};
+
+std::string describe(const FlowEntry* e) {
+  if (e == nullptr) return "miss";
+  std::ostringstream os;
+  os << e->match.to_string() << " w=" << e->match.wildcards << " prio=" << e->priority
+     << " cookie=" << e->cookie << " pkts=" << e->packet_count << " bytes=" << e->byte_count
+     << " installed=" << e->installed_at.ns() << " used=" << e->last_used.ns();
+  return os.str();
+}
+
+std::vector<std::string> describe(const std::vector<RemovedEntry>& removed) {
+  std::vector<std::string> out;
+  for (const RemovedEntry& r : removed) {
+    out.push_back(describe(&r.entry) + " reason=" + std::to_string(static_cast<int>(r.reason)));
+  }
+  return out;
+}
+
+std::vector<std::string> describe(const std::vector<const FlowEntry*>& entries) {
+  std::vector<std::string> out;
+  for (const FlowEntry* e : entries) out.push_back(describe(e));
+  return out;
+}
+
+// A small pool of matches so (match, priority) pairs repeat: exact matches
+// for a few flows on two in_ports, plus wildcard matches that overlap them.
+std::vector<of::Match> match_pool(std::uint32_t flows) {
+  std::vector<of::Match> pool;
+  for (std::uint32_t f = 0; f < flows; ++f) {
+    for (std::uint16_t port = 1; port <= 2; ++port) {
+      pool.push_back(of::Match::exact_from(packet_for_flow(f), port));
+    }
+  }
+  pool.push_back(of::Match::wildcard_all());
+  of::Match by_dst = of::Match::wildcard_all();
+  by_dst.wildcards &= ~of::kWildcardDlType;
+  by_dst.dl_type = 0x0800;
+  by_dst.set_nw_dst_ignored_bits(0);
+  by_dst.nw_dst = net::Ipv4Address::from_octets(10, 2, 0, 1);
+  pool.push_back(by_dst);
+  of::Match by_src_net = by_dst;
+  by_src_net.set_nw_dst_ignored_bits(32);
+  by_src_net.set_nw_src_ignored_bits(2);
+  by_src_net.nw_src = net::Ipv4Address::from_octets(10, 1, 0, 0);
+  pool.push_back(by_src_net);
+  of::Match by_port = of::Match::wildcard_all();
+  by_port.wildcards &= ~of::kWildcardInPort;
+  by_port.in_port = 2;
+  pool.push_back(by_port);
+  return pool;
+}
+
+void run_differential(std::size_t capacity, EvictionPolicy policy, std::uint64_t seed) {
+  SCOPED_TRACE("capacity " + std::to_string(capacity) + " policy " +
+               eviction_policy_name(policy) + " seed " + std::to_string(seed));
+  util::Rng rng{seed};
+  const std::uint32_t flows = 2 + static_cast<std::uint32_t>(capacity / 2);
+  const std::vector<of::Match> pool = match_pool(flows);
+  const std::uint16_t priorities[] = {10, 20, 30};
+  FlowTable table{capacity, policy};
+  ReferenceFlowTable reference{capacity, policy};
+  sim::SimTime now = sim::SimTime::zero();
+
+  for (int step = 0; step < 400; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    // Mostly equal times, so eviction ties are frequent.
+    if (rng.next_below(4) == 0) now = now + sim::SimTime::milliseconds(500);
+    const of::Match& match = pool[rng.next_below(pool.size())];
+    const std::uint16_t priority = priorities[rng.next_below(3)];
+    const net::Packet packet = packet_for_flow(static_cast<std::uint32_t>(rng.next_below(flows)));
+    const auto in_port = static_cast<std::uint16_t>(1 + rng.next_below(2));
+
+    switch (rng.next_below(8)) {
+      case 0:
+      case 1:
+      case 2: {
+        FlowEntry e;
+        e.match = match;
+        e.priority = priority;
+        e.cookie = static_cast<std::uint64_t>(step);
+        e.idle_timeout_s = static_cast<std::uint16_t>(rng.next_below(3));
+        e.hard_timeout_s = static_cast<std::uint16_t>(rng.next_below(4));
+        const auto got = table.add(e, now);
+        const auto want = reference.add(e, now);
+        ASSERT_EQ(got.replaced, want.replaced);
+        ASSERT_EQ(describe(got.evicted), describe(want.evicted));
+        break;
+      }
+      case 3:
+      case 4:
+        ASSERT_EQ(describe(table.lookup(packet, in_port, now)),
+                  describe(reference.lookup(packet, in_port, now)));
+        break;
+      case 5:
+        ASSERT_EQ(describe(table.peek(packet, in_port)), describe(reference.peek(packet, in_port)));
+        break;
+      case 6: {
+        const bool strict = rng.next_below(3) != 0;
+        std::optional<std::uint16_t> prio;
+        if (rng.next_below(2) == 0) prio = priority;
+        ASSERT_EQ(describe(table.remove(match, prio, strict)),
+                  describe(reference.remove(match, prio, strict)));
+        break;
+      }
+      default:
+        ASSERT_EQ(describe(table.expire(now)), describe(reference.expire(now)));
+        break;
+    }
+    ASSERT_EQ(describe(table.entries()), describe(reference.entries()));
+  }
+}
+
+TEST(FlowTable, MatchesLinearReference) {
+  for (const EvictionPolicy policy : {EvictionPolicy::Lru, EvictionPolicy::Fifo}) {
+    for (const std::size_t capacity : {1, 2, 3, 4, 7, 16, 33, 64}) {
+      for (std::uint64_t seed = 1; seed <= 12; ++seed) run_differential(capacity, policy, seed);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace sdnbuf::sw
