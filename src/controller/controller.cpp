@@ -27,7 +27,7 @@ void Controller::connect(of::Channel& channel, std::uint64_t datapath_id) {
   SDNBUF_CHECK_MSG(switches_.count(datapath_id) == 0, "datapath already connected");
   switches_[datapath_id].channel = &channel;
   channel.set_controller_handler(
-      [this, datapath_id](const of::OfMessage& msg, std::size_t) {
+      [this, datapath_id](of::OfMessage& msg, std::size_t) {
         on_message(datapath_id, msg);
       });
 }
@@ -224,8 +224,8 @@ void Controller::request_port_stats(std::uint16_t port_no) {
   }
 }
 
-void Controller::on_message(std::uint64_t datapath_id, const of::OfMessage& msg) {
-  if (const auto* pi = std::get_if<of::PacketIn>(&msg)) {
+void Controller::on_message(std::uint64_t datapath_id, of::OfMessage& msg) {
+  if (auto* pi = std::get_if<of::PacketIn>(&msg)) {
     if (config_.drop_pkt_in_probability > 0.0 &&
         rng_.next_double() < config_.drop_pkt_in_probability) {
       ++counters_.pkt_ins_dropped;
@@ -234,7 +234,7 @@ void Controller::on_message(std::uint64_t datapath_id, const of::OfMessage& msg)
       }
       return;
     }
-    handle_packet_in(datapath_id, *pi);
+    handle_packet_in(datapath_id, std::move(*pi));
   } else if (std::holds_alternative<of::Error>(msg)) {
     ++counters_.errors_seen;
   } else if (const auto* flow_stats = std::get_if<of::FlowStatsReply>(&msg)) {
@@ -345,12 +345,28 @@ void Controller::send_rule_deletes(std::vector<RuleKey> doomed) {
       fm.command = of::FlowModCommand::DeleteStrict;
       fm.priority = rule.priority;
       ++counters_.rules_invalidated;
-      b.channel->send_from_controller(fm);
+      b.channel->send_from_controller(std::move(fm));
     }
   });
 }
 
-void Controller::handle_packet_in(std::uint64_t datapath_id, const of::PacketIn& msg) {
+namespace {
+
+// The packet_out answering `msg`: it names the buffered packet, or carries
+// the frame back (moved out of `msg`) in no-buffer mode.
+of::PacketOut packet_out_for(of::PacketIn& msg, of::ActionList actions) {
+  of::PacketOut out;
+  out.xid = msg.xid;
+  out.buffer_id = msg.buffer_id;
+  out.in_port = msg.in_port;
+  out.actions = actions;
+  if (msg.buffer_id == of::kNoBuffer) out.data = std::move(msg.data);
+  return out;
+}
+
+}  // namespace
+
+void Controller::handle_packet_in(std::uint64_t datapath_id, of::PacketIn msg) {
   ++counters_.pkt_ins_handled;
   if (instr_.pkt_in_bytes != nullptr) {
     instr_.pkt_in_bytes->record(static_cast<double>(msg.data.size()));
@@ -363,7 +379,7 @@ void Controller::handle_packet_in(std::uint64_t datapath_id, const of::PacketIn&
   const double parse_us = config_.costs.parse_base_us +
                           config_.costs.parse_per_byte_us * static_cast<double>(msg.data.size()) +
                           config_.costs.decision_us;
-  cpu_.submit(cost_us(parse_us), [this, datapath_id, msg]() {
+  cpu_.submit(cost_us(parse_us), [this, datapath_id, msg = std::move(msg)]() mutable {
     auto packet = net::Packet::parse(msg.data, msg.total_len);
     if (!packet) {
       ++counters_.parse_failures;
@@ -373,21 +389,20 @@ void Controller::handle_packet_in(std::uint64_t datapath_id, const of::PacketIn&
       SDNBUF_WARN("controller", "undecodable packet_in data");
       return;
     }
-    decide_and_respond(datapath_id, binding(datapath_id), msg, *packet);
+    decide_and_respond(datapath_id, binding(datapath_id), std::move(msg), *packet);
   });
 }
 
 void Controller::decide_and_respond(std::uint64_t datapath_id, SwitchBinding& binding,
-                                    const of::PacketIn& msg, const net::Packet& packet) {
-  of::Channel* channel = binding.channel;
-  SDNBUF_CHECK(channel != nullptr);
+                                    of::PacketIn msg, const net::Packet& packet) {
+  SDNBUF_CHECK(binding.channel != nullptr);
 
   // Learn the sender's location at this switch (kept in topology mode too:
   // tests and warm-up probes read the tables).
   if (!packet.eth.src.is_multicast()) binding.mac_table[packet.eth.src] = msg.in_port;
 
   if (router_ != nullptr) {
-    route_and_respond(datapath_id, binding, msg, packet);
+    route_and_respond(datapath_id, binding, std::move(msg), packet);
     return;
   }
 
@@ -396,106 +411,88 @@ void Controller::decide_and_respond(std::uint64_t datapath_id, SwitchBinding& bi
   if (!known) {
     // Unknown destination: flood, and install nothing (the next packet_in
     // for this flow gets another chance once the destination is learned).
+    // The encode cost counts the whole data field, buffered or not.
     ++counters_.floods;
-    const double encode_us = config_.costs.encode_pkt_out_base_us +
-                             config_.costs.encode_pkt_out_per_byte_us *
-                                 static_cast<double>(msg.data.size());
-    cpu_.submit(cost_us(encode_us), [this, channel, msg]() {
-      of::PacketOut out;
-      out.xid = msg.xid;
-      out.buffer_id = msg.buffer_id;
-      out.in_port = msg.in_port;
-      out.actions = of::output_to(of::kPortFlood);
-      if (msg.buffer_id == of::kNoBuffer) out.data = msg.data;
-      ++counters_.pkt_outs_sent;
-      channel->send_from_controller(out);
-    });
+    const std::size_t data_bytes = msg.data.size();
+    submit_packet_out(binding.channel, packet_out_for(msg, of::output_to(of::kPortFlood)),
+                      data_bytes);
     return;
   }
 
-  respond_with_actions(datapath_id, binding, msg, packet, of::output_to(it->second));
+  const of::Match match = of::Match::exact_from(packet, msg.in_port);
+  respond_with_actions(datapath_id, binding, std::move(msg), match, of::output_to(it->second));
+}
+
+void Controller::submit_packet_out(of::Channel* channel, of::PacketOut out,
+                                   std::size_t data_bytes) {
+  const double encode_us = config_.costs.encode_pkt_out_base_us +
+                           config_.costs.encode_pkt_out_per_byte_us *
+                               static_cast<double>(data_bytes);
+  cpu_.submit(cost_us(encode_us), [this, channel, out = std::move(out)]() mutable {
+    ++counters_.pkt_outs_sent;
+    channel->send_from_controller(std::move(out));
+  });
 }
 
 void Controller::respond_with_actions(std::uint64_t datapath_id, SwitchBinding& binding,
-                                      const of::PacketIn& msg, const net::Packet& packet,
-                                      const of::ActionList& actions) {
+                                      of::PacketIn msg, of::Match match,
+                                      of::ActionList actions) {
   of::Channel* channel = binding.channel;
   SDNBUF_CHECK(channel != nullptr);
-
-  // Floodlight sends the flow_mod first and the packet_out second; chaining
-  // the encode jobs preserves that order on the FIFO channel.
-  auto send_pkt_out = [this, channel, msg, actions]() {
-    // The packet_out re-encapsulates the full frame only in no-buffer mode;
-    // with a valid buffer_id it carries just the reference.
-    const std::size_t data_bytes = msg.buffer_id == of::kNoBuffer ? msg.data.size() : 0;
-    const double encode_us =
-        config_.costs.encode_pkt_out_base_us +
-        config_.costs.encode_pkt_out_per_byte_us * static_cast<double>(data_bytes);
-    cpu_.submit(cost_us(encode_us), [this, channel, msg, actions]() {
-      of::PacketOut out;
-      out.xid = msg.xid;
-      out.buffer_id = msg.buffer_id;
-      out.in_port = msg.in_port;
-      out.actions = actions;
-      if (msg.buffer_id == of::kNoBuffer) out.data = msg.data;
-      ++counters_.pkt_outs_sent;
-      channel->send_from_controller(out);
-    });
-  };
+  const bool buffered = msg.buffer_id != of::kNoBuffer;
+  // The packet_out re-encapsulates the full frame only in no-buffer mode;
+  // with a valid buffer_id it carries just the reference.
+  of::PacketOut out = packet_out_for(msg, actions);
 
   if (!config_.install_rules) {
-    send_pkt_out();
+    const std::size_t data_bytes = out.data.size();
+    submit_packet_out(channel, std::move(out), data_bytes);
     return;
   }
-  const bool piggyback = config_.piggyback_buffer_id && msg.buffer_id != of::kNoBuffer;
+  if (config_.aggregate_src_bits > 0) {
+    // Aggregated rule: one entry covers a source-IP block instead of a
+    // single micro flow (trades per-flow counters for fewer misses).
+    match.set_nw_src_ignored_bits(config_.aggregate_src_bits);
+    match.wildcards |= of::kWildcardTpSrc | of::kWildcardTpDst | of::kWildcardDlSrc;
+  }
+  // Floodlight sends the flow_mod first and the packet_out second; chaining
+  // the encode jobs preserves that order on the FIFO channel.
+  const bool piggyback = config_.piggyback_buffer_id && buffered;
   cpu_.submit(cost_us(config_.costs.encode_flow_mod_us),
-              [this, datapath_id, channel, msg, packet, actions, send_pkt_out, piggyback]() {
+              [this, datapath_id, channel, match, out = std::move(out), piggyback]() mutable {
     of::FlowMod fm;
-    fm.xid = msg.xid;  // responses echo the request xid (delay attribution)
-    fm.match = of::Match::exact_from(packet, msg.in_port);
-    if (config_.aggregate_src_bits > 0) {
-      // Aggregated rule: one entry covers a source-IP block instead of a
-      // single micro flow (trades per-flow counters for fewer misses).
-      fm.match.set_nw_src_ignored_bits(config_.aggregate_src_bits);
-      fm.match.wildcards |= of::kWildcardTpSrc | of::kWildcardTpDst | of::kWildcardDlSrc;
-    }
+    fm.xid = out.xid;  // responses echo the request xid (delay attribution)
+    fm.match = match;
     fm.command = of::FlowModCommand::Add;
     fm.idle_timeout_s = config_.rule_idle_timeout_s;
     fm.hard_timeout_s = config_.rule_hard_timeout_s;
     fm.priority = config_.rule_priority;
     // Piggyback: the flow_mod itself names the buffered packet, so the
     // switch installs the rule and releases the packet in one message.
-    fm.buffer_id = piggyback ? msg.buffer_id : of::kNoBuffer;
+    fm.buffer_id = piggyback ? out.buffer_id : of::kNoBuffer;
     if (config_.request_flow_removed) fm.flags |= of::kFlowModSendFlowRem;
-    fm.actions = actions;
+    fm.actions = out.actions;
     ++counters_.flow_mods_sent;
     record_installed_rule(datapath_id, fm.match, fm.priority, fm.actions);
-    channel->send_from_controller(fm);
-    if (!piggyback) send_pkt_out();
+    channel->send_from_controller(std::move(fm));
+    if (!piggyback) {
+      const std::size_t data_bytes = out.data.size();
+      submit_packet_out(channel, std::move(out), data_bytes);
+    }
   });
 }
 
 void Controller::route_and_respond(std::uint64_t datapath_id, SwitchBinding& binding,
-                                   const of::PacketIn& msg, const net::Packet& packet) {
+                                   of::PacketIn msg, const net::Packet& packet) {
   const topo::Topology& topology = router_->topology();
 
   // A drop packet_out (empty action list): releases any buffered copy and
   // keeps the switch-side accounting closed.
-  auto drop_packet = [this, channel = binding.channel, msg]() {
+  const auto drop_packet = [&]() {
     ++counters_.unroutable_drops;
-    const std::size_t data_bytes = msg.buffer_id == of::kNoBuffer ? msg.data.size() : 0;
-    const double encode_us =
-        config_.costs.encode_pkt_out_base_us +
-        config_.costs.encode_pkt_out_per_byte_us * static_cast<double>(data_bytes);
-    cpu_.submit(cost_us(encode_us), [this, channel, msg]() {
-      of::PacketOut out;
-      out.xid = msg.xid;
-      out.buffer_id = msg.buffer_id;
-      out.in_port = msg.in_port;
-      if (msg.buffer_id == of::kNoBuffer) out.data = msg.data;
-      ++counters_.pkt_outs_sent;
-      channel->send_from_controller(out);
-    });
+    of::PacketOut out = packet_out_for(msg, of::drop());
+    const std::size_t data_bytes = out.data.size();
+    submit_packet_out(binding.channel, std::move(out), data_bytes);
   };
 
   const auto dst = topology.host_by_mac(packet.eth.dst);
@@ -516,7 +513,8 @@ void Controller::route_and_respond(std::uint64_t datapath_id, SwitchBinding& bin
       drop_packet();
       return;
     }
-    respond_with_actions(datapath_id, binding, msg, packet, of::output_to(*port));
+    const of::Match match = of::Match::exact_from(packet, msg.in_port);
+    respond_with_actions(datapath_id, binding, std::move(msg), match, of::output_to(*port));
     return;
   }
 
@@ -545,28 +543,31 @@ void Controller::route_and_respond(std::uint64_t datapath_id, SwitchBinding& bin
     hop.out_port = *out;
     hops->push_back(hop);
   }
-  install_remaining_hops(std::move(hops), 1, datapath_id, msg, packet);
+  const of::Match match = of::Match::exact_from(packet, msg.in_port);
+  install_remaining_hops(std::move(hops), 1, datapath_id, std::move(msg), match);
 }
 
 void Controller::install_remaining_hops(std::shared_ptr<const std::vector<PathHop>> hops,
                                         std::size_t idx, std::uint64_t origin_dpid,
-                                        of::PacketIn msg, net::Packet packet) {
+                                        of::PacketIn msg, of::Match match) {
   if (idx >= hops->size()) {
-    respond_with_actions(origin_dpid, binding(origin_dpid), msg, packet,
-                         of::output_to(hops->front().out_port));
+    const std::uint16_t out_port = hops->front().out_port;
+    respond_with_actions(origin_dpid, binding(origin_dpid), std::move(msg), match,
+                         of::output_to(out_port));
     return;
   }
   const PathHop hop = (*hops)[idx];
   cpu_.submit(cost_us(config_.costs.encode_flow_mod_us),
-              [this, hops = std::move(hops), idx, origin_dpid, msg = std::move(msg),
-               packet = std::move(packet), hop]() mutable {
+              [this, hops = std::move(hops), idx, origin_dpid, msg = std::move(msg), match,
+               hop]() mutable {
     SwitchBinding& b = binding(hop.datapath_id);
     of::FlowMod fm;
     // Proactive installs are not answering any packet_in on this channel, so
     // they carry a fresh xid (the per-switch invariant registries are told
     // to expect unpaired flow_mods in this mode).
     fm.xid = b.channel->next_controller_xid();
-    fm.match = of::Match::exact_from(packet, hop.in_port);
+    fm.match = match;
+    fm.match.in_port = hop.in_port;
     fm.command = of::FlowModCommand::Add;
     fm.idle_timeout_s = config_.rule_idle_timeout_s;
     fm.hard_timeout_s = config_.rule_hard_timeout_s;
@@ -576,9 +577,8 @@ void Controller::install_remaining_hops(std::shared_ptr<const std::vector<PathHo
     ++counters_.flow_mods_sent;
     ++counters_.path_preinstalls;
     record_installed_rule(hop.datapath_id, fm.match, fm.priority, fm.actions);
-    b.channel->send_from_controller(fm);
-    install_remaining_hops(std::move(hops), idx + 1, origin_dpid, std::move(msg),
-                           std::move(packet));
+    b.channel->send_from_controller(std::move(fm));
+    install_remaining_hops(std::move(hops), idx + 1, origin_dpid, std::move(msg), match);
   });
 }
 

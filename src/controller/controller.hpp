@@ -259,22 +259,25 @@ class Controller {
     std::uint64_t seq = 0;   // install order; a refreshed rule keeps its place
   };
 
-  void on_message(std::uint64_t datapath_id, const of::OfMessage& msg);
-  void handle_packet_in(std::uint64_t datapath_id, const of::PacketIn& msg);
+  void on_message(std::uint64_t datapath_id, of::OfMessage& msg);
+  void handle_packet_in(std::uint64_t datapath_id, of::PacketIn msg);
   // Data-plane fault repair: resolves the reported port to a topology link,
   // flips it in the router (rebuilding the ECMP tables), and on link-down
   // deletes every recorded rule that rides the link.
   void handle_port_status(std::uint64_t datapath_id, const of::PortStatus& msg);
-  void decide_and_respond(std::uint64_t datapath_id, SwitchBinding& binding,
-                          const of::PacketIn& msg, const net::Packet& packet);
+  void decide_and_respond(std::uint64_t datapath_id, SwitchBinding& binding, of::PacketIn msg,
+                          const net::Packet& packet);
   // Topology-routing counterpart of decide_and_respond.
-  void route_and_respond(std::uint64_t datapath_id, SwitchBinding& binding,
-                         const of::PacketIn& msg, const net::Packet& packet);
+  void route_and_respond(std::uint64_t datapath_id, SwitchBinding& binding, of::PacketIn msg,
+                         const net::Packet& packet);
   // The flow_mod + packet_out answer toward the switch that raised the
-  // packet_in (shared by the learning and routing applications).
-  void respond_with_actions(std::uint64_t datapath_id, SwitchBinding& binding,
-                            const of::PacketIn& msg, const net::Packet& packet,
-                            const of::ActionList& actions);
+  // packet_in (shared by the learning and routing applications). `match` is
+  // the exact match of the missed packet; configured aggregation widens it.
+  void respond_with_actions(std::uint64_t datapath_id, SwitchBinding& binding, of::PacketIn msg,
+                            of::Match match, of::ActionList actions);
+  // One CPU job that encodes `out` (its cost scales with `data_bytes`) and
+  // sends it.
+  void submit_packet_out(of::Channel* channel, of::PacketOut out, std::size_t data_bytes);
   // Bookkeeping helpers (all no-ops outside topology mode).
   void record_installed_rule(std::uint64_t datapath_id, const of::Match& match,
                              std::uint16_t priority, const of::ActionList& actions);
@@ -288,9 +291,10 @@ class Controller {
   // sends them to their switches, counting counters_.rules_invalidated.
   void send_rule_deletes(std::vector<RuleKey> doomed);
   // Installs rules on hops[idx..] one CPU job at a time, then answers the
-  // originating switch (hops[0]) with respond_with_actions.
+  // originating switch (hops[0]) with respond_with_actions. `match` is the
+  // flow's exact match; each hop's rule takes that hop's in_port.
   void install_remaining_hops(std::shared_ptr<const std::vector<PathHop>> hops, std::size_t idx,
-                              std::uint64_t origin_dpid, of::PacketIn msg, net::Packet packet);
+                              std::uint64_t origin_dpid, of::PacketIn msg, of::Match match);
   [[nodiscard]] verify::InvariantObserver* observer_for(std::uint64_t datapath_id);
   // Matches a stats reply against outstanding_stats_ (seen vs unmatched).
   void account_stats_reply(std::uint64_t datapath_id, std::uint32_t xid);

@@ -39,13 +39,17 @@ Link::SendResult Link::send_frame(std::uint64_t bytes, sim::EventFn on_delivered
     return SendResult::FaultDrop;
   }
   tap_.record(bytes);
-  backlog_bytes_ += bytes;
   transmitter_free_at_ = done_sending;
-  // The backlog counts bytes not yet clocked onto the wire.
-  sim_.schedule_at(done_sending, [this, bytes]() {
-    SDNBUF_CHECK(backlog_bytes_ >= bytes);
-    backlog_bytes_ -= bytes;
-  });
+  if (queue_limit_bytes_ != kUnlimited) {
+    // The backlog counts bytes not yet clocked onto the wire. Only a capped
+    // link pays the per-frame event that tracks it; on an uncapped link the
+    // check above can never fire.
+    backlog_bytes_ += bytes;
+    sim_.schedule_at(done_sending, [this, bytes]() {
+      SDNBUF_CHECK(backlog_bytes_ >= bytes);
+      backlog_bytes_ -= bytes;
+    });
+  }
   // Wrapping the callback in a profile tag costs a heap allocation (an
   // EventFn nested inside an EventFn overflows the small buffer), so the
   // per-link attribution wrapper only exists when the simulator actually

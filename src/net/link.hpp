@@ -77,7 +77,8 @@ class Link {
   // zero-schedule path is byte-identical to a link without one.
   void set_fault_schedule(const LinkFaultSchedule* faults) { faults_ = faults; }
 
-  // Caps the untransmitted backlog; unlimited by default.
+  // Caps the untransmitted backlog; unlimited by default. Set it before the
+  // first send: only a capped link tracks its backlog.
   void set_queue_limit_bytes(std::uint64_t limit) { queue_limit_bytes_ = limit; }
 
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -85,6 +86,7 @@ class Link {
   [[nodiscard]] sim::SimTime propagation_delay() const { return propagation_delay_; }
   [[nodiscard]] std::uint64_t drops() const { return drops_; }
   [[nodiscard]] std::uint64_t fault_drops() const { return fault_drops_; }
+  // Bytes queued but not yet clocked onto the wire (always 0 when uncapped).
   [[nodiscard]] std::uint64_t backlog_bytes() const { return backlog_bytes_; }
 
   [[nodiscard]] ByteTap& tap() { return tap_; }
@@ -96,7 +98,8 @@ class Link {
   double bandwidth_bps_;
   sim::SimTime propagation_delay_;
   sim::SimTime transmitter_free_at_;
-  std::uint64_t queue_limit_bytes_ = std::numeric_limits<std::uint64_t>::max();
+  static constexpr std::uint64_t kUnlimited = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t queue_limit_bytes_ = kUnlimited;
   std::uint64_t backlog_bytes_ = 0;
   std::uint64_t drops_ = 0;
   std::uint64_t fault_drops_ = 0;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "net/address.hpp"
+#include "util/small_vector.hpp"
 
 namespace sdnbuf::of {
 
@@ -38,7 +39,9 @@ struct SetDlDstAction {
 
 using Action = std::variant<OutputAction, SetDlSrcAction, SetDlDstAction>;
 
-using ActionList = std::vector<Action>;
+// Reactive forwarding emits one or two actions, so a list keeps two inline
+// and only a longer one touches the heap.
+using ActionList = util::SmallVector<Action, 2>;
 
 // Encoded length of one action / a list (every modelled action is 8 or 16
 // bytes on the wire, as in OF 1.0).

@@ -55,27 +55,11 @@ void Channel::set_fault_profile(FaultProfile profile, std::uint64_t seed) {
   }
   fault_profile_ = std::move(profile);
   fault_rng_.emplace(seed);
-  deliver_floor_[0] = deliver_floor_[1] = sim::SimTime::zero();
+  directions_[0].deliver_floor = directions_[1].deliver_floor = sim::SimTime::zero();
 }
 
-std::vector<std::uint8_t> Channel::acquire_buffer(bool controller_side) {
-  auto& pool = buffer_pools_[controller_side ? 1 : 0];
-  if (pool.empty()) return {};
-  std::vector<std::uint8_t> buffer = std::move(pool.back());
-  pool.pop_back();
-  return buffer;
-}
-
-void Channel::release_buffer(bool controller_side, std::vector<std::uint8_t>&& buffer) {
-  static constexpr std::size_t kMaxPooledBuffers = 64;
-  auto& pool = buffer_pools_[controller_side ? 1 : 0];
-  if (pool.size() >= kMaxPooledBuffers) return;  // let it free
-  buffer.clear();
-  pool.push_back(std::move(buffer));
-}
-
-void Channel::transmit(net::Link& link, Handler& handler, std::vector<std::uint8_t> wire,
-                       std::size_t wire_bytes, const OfMessage& msg, bool to_controller) {
+void Channel::transmit(net::Link& link, OfMessage msg, std::size_t wire_bytes,
+                       bool to_controller) {
   const double loss_p =
       to_controller ? fault_profile_.loss_to_controller : fault_profile_.loss_to_switch;
   if (fault_rng_ && loss_p > 0.0 && fault_rng_->next_double() < loss_p) {
@@ -85,7 +69,6 @@ void Channel::transmit(net::Link& link, Handler& handler, std::vector<std::uint8
     if (fault_tap_) fault_tap_(to_controller, msg, FaultKind::Loss, sim_.now());
     // The doomed copy still occupies the link: loss happens in transit, not
     // at the sender.
-    release_buffer(!to_controller, std::move(wire));
     link.send(wire_bytes, []() {});
     return;
   }
@@ -95,44 +78,63 @@ void Channel::transmit(net::Link& link, Handler& handler, std::vector<std::uint8
     extra = sim::SimTime::nanoseconds(static_cast<std::int64_t>(fault_rng_->next_below(
         static_cast<std::uint64_t>(fault_profile_.max_extra_delay.ns()) + 1)));
   }
-  // The delivery closure runs at the receiving endpoint: decode, buffer
-  // release and the jitter floor all belong to the receiver.
-  link.send(wire_bytes,
-            [this, &handler, wire = std::move(wire), wire_bytes, extra, jittered,
-             to_controller]() mutable {
-    auto decoded = decode_message(wire);
-    SDNBUF_CHECK_MSG(decoded.has_value(), "control channel delivered an undecodable message");
-    release_buffer(to_controller, std::move(wire));
-    if (!jittered) {
-      if (handler) handler(*decoded, wire_bytes);
-      return;
-    }
-    // Jitter must not reorder a direction's messages (TCP delivers in
-    // order): never deliver before an earlier message's delivery time.
-    sim::SimTime when = sim_.now() + extra;
-    sim::SimTime& floor = deliver_floor_[to_controller ? 1 : 0];
-    if (when < floor) when = floor;
-    floor = when;
-    if (when <= sim_.now()) {
-      if (handler) handler(*decoded, wire_bytes);
-    } else {
-      sim_.schedule(when - sim_.now(), [&handler, delivered = *decoded, wire_bytes]() {
-        sim::ScopedProfileTag tag{"channel"};
-        if (handler) handler(delivered, wire_bytes);
-      });
-    }
+  Direction& dir = direction(to_controller);
+  const std::uint64_t seq = dir.on_wire_pushed;
+  const auto sent = link.send_frame(wire_bytes, [this, to_controller, seq, wire_bytes, extra,
+                                                 jittered]() {
+    arrive(to_controller, seq, wire_bytes, extra, jittered);
+  });
+  // A frame the link dropped never arrives, so it never joins the queue.
+  if (sent != net::Link::SendResult::Sent) return;
+  dir.on_wire.push_back(std::move(msg));
+  ++dir.on_wire_pushed;
+}
+
+void Channel::arrive(bool to_controller, std::uint64_t seq, std::size_t wire_bytes,
+                     sim::SimTime extra, bool jittered) {
+  // Runs at the receiving endpoint: the jitter floor belongs to the receiver.
+  Direction& dir = direction(to_controller);
+  SDNBUF_CHECK_MSG(seq == dir.on_wire_popped, "control channel delivered out of order");
+  ++dir.on_wire_popped;
+  OfMessage msg = dir.on_wire.pop_front();
+  if (!jittered) {
+    deliver(to_controller, msg, wire_bytes);
+    return;
+  }
+  // Jitter must not reorder a direction's messages (TCP delivers in
+  // order): never deliver before an earlier message's delivery time.
+  sim::SimTime when = sim_.now() + extra;
+  if (when < dir.deliver_floor) when = dir.deliver_floor;
+  dir.deliver_floor = when;
+  if (when <= sim_.now()) {
+    deliver(to_controller, msg, wire_bytes);
+    return;
+  }
+  const std::uint64_t held_seq = dir.held_pushed++;
+  dir.held.push_back(std::move(msg));
+  sim_.schedule(when - sim_.now(), [this, to_controller, held_seq, wire_bytes]() {
+    sim::ScopedProfileTag tag{"channel"};
+    Direction& d = direction(to_controller);
+    SDNBUF_CHECK_MSG(held_seq == d.held_popped, "jittered delivery out of order");
+    ++d.held_popped;
+    OfMessage held = d.held.pop_front();
+    deliver(to_controller, held, wire_bytes);
   });
 }
 
-std::size_t Channel::send(net::Link& link, MessageCounters& counters, Handler& handler,
-                          const OfMessage& msg, bool to_controller) {
-  // Encode through the real codec; the decoded copy is delivered to the
-  // receiver, so any asymmetry between encode and decode would surface
-  // immediately in every simulation. The wire bytes live in a pooled
-  // scratch buffer that returns to the pool after decode.
-  auto wire = acquire_buffer(!to_controller);
-  encode_message_into(msg, wire);
-  const std::size_t wire_bytes = wire.size() + kTransportOverhead;
+void Channel::deliver(bool to_controller, OfMessage& msg, std::size_t wire_bytes) {
+  Handler& handler = to_controller ? controller_handler_ : switch_handler_;
+  if (handler) handler(msg, wire_bytes);
+}
+
+std::size_t Channel::send(net::Link& link, MessageCounters& counters, OfMessage msg,
+                          bool to_controller) {
+  // The frame occupies the message's exact OpenFlow size plus framing; the
+  // bytes themselves are never built (the invariant registry checks that
+  // encoded_size matches the codec on every message it observes).
+  const std::size_t of_bytes = encoded_size(msg);
+  SDNBUF_CHECK_MSG(of_bytes <= 0xffff, "OpenFlow message too long for 16-bit length");
+  const std::size_t wire_bytes = of_bytes + kTransportOverhead;
   if (fault_profile_.in_outage(sim_.now())) {
     // Connection down: the message never reaches the wire, so it appears in
     // no counter or capture — exactly what tcpdump would (not) see.
@@ -140,7 +142,6 @@ std::size_t Channel::send(net::Link& link, MessageCounters& counters, Handler& h
                                   : fault_counters_.outage_dropped_to_switch;
     ++dropped;
     if (fault_tap_) fault_tap_(to_controller, msg, FaultKind::Outage, sim_.now());
-    release_buffer(!to_controller, std::move(wire));
     return wire_bytes;
   }
   const double dup_p =
@@ -154,37 +155,33 @@ std::size_t Channel::send(net::Link& link, MessageCounters& counters, Handler& h
   }
   if (tap_) tap_(to_controller, msg, wire_bytes, sim_.now());
   if (verify_tap_) verify_tap_(to_controller, msg, wire_bytes, sim_.now());
-  std::vector<std::uint8_t> copy;
-  if (duplicate) {
-    copy = acquire_buffer(!to_controller);
-    copy.assign(wire.begin(), wire.end());
+  if (!duplicate) {
+    transmit(link, std::move(msg), wire_bytes, to_controller);
+    return wire_bytes;
   }
-  transmit(link, handler, std::move(wire), wire_bytes, msg, to_controller);
-  if (duplicate) {
-    auto& duped = to_controller ? fault_counters_.duplicated_to_controller
-                                : fault_counters_.duplicated_to_switch;
-    ++duped;
-    // Fault tap first, then the duplicate's capture/verify records, so an
-    // observer widens its accounting before seeing the second crossing.
-    if (fault_tap_) fault_tap_(to_controller, msg, FaultKind::Duplicate, sim_.now());
-    counters.record(message_type(msg), wire_bytes);
-    if (tap_) tap_(to_controller, msg, wire_bytes, sim_.now());
-    if (verify_tap_) verify_tap_(to_controller, msg, wire_bytes, sim_.now());
-    transmit(link, handler, std::move(copy), wire_bytes, msg, to_controller);
-  }
+  OfMessage copy = msg;
+  transmit(link, std::move(msg), wire_bytes, to_controller);
+  auto& duped = to_controller ? fault_counters_.duplicated_to_controller
+                              : fault_counters_.duplicated_to_switch;
+  ++duped;
+  // Fault tap first, then the duplicate's capture/verify records, so an
+  // observer widens its accounting before seeing the second crossing.
+  if (fault_tap_) fault_tap_(to_controller, copy, FaultKind::Duplicate, sim_.now());
+  counters.record(message_type(copy), wire_bytes);
+  if (tap_) tap_(to_controller, copy, wire_bytes, sim_.now());
+  if (verify_tap_) verify_tap_(to_controller, copy, wire_bytes, sim_.now());
+  transmit(link, std::move(copy), wire_bytes, to_controller);
   return wire_bytes;
 }
 
-std::size_t Channel::send_from_switch(const OfMessage& msg) {
+std::size_t Channel::send_from_switch(OfMessage msg) {
   SDNBUF_TRACE("channel", "switch -> controller: " << msg_type_name(message_type(msg)));
-  return send(to_controller_, to_controller_counters_, controller_handler_, msg,
-              /*to_controller=*/true);
+  return send(to_controller_, to_controller_counters_, std::move(msg), /*to_controller=*/true);
 }
 
-std::size_t Channel::send_from_controller(const OfMessage& msg) {
+std::size_t Channel::send_from_controller(OfMessage msg) {
   SDNBUF_TRACE("channel", "controller -> switch: " << msg_type_name(message_type(msg)));
-  return send(to_switch_, to_switch_counters_, switch_handler_, msg,
-              /*to_controller=*/false);
+  return send(to_switch_, to_switch_counters_, std::move(msg), /*to_controller=*/false);
 }
 
 }  // namespace sdnbuf::of

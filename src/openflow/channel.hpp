@@ -1,10 +1,15 @@
 // The switch<->controller control channel.
 //
 // Models the TCP connection between an OpenFlow agent and the controller:
-// messages are encoded to their real wire bytes, framed with the transport
-// overhead tcpdump would see, transmitted over a `net::Link` per direction
-// (FIFO, bandwidth-limited), and decoded at the receiver. Per-type message
-// counters feed the experiment reports.
+// each message occupies its exact OpenFlow wire size (`encoded_size`) plus
+// the transport overhead tcpdump would see on a `net::Link` per direction
+// (FIFO, bandwidth-limited). The typed message itself crosses the channel:
+// the sender's object is moved into a per-direction in-flight queue and
+// handed to the receiver's handler, so no message is encoded, decoded or
+// copied on the way (only a fault-injected duplicate is a copy). The codec's
+// encode/decode symmetry is checked where it matters, by the invariant
+// registry's `codec-roundtrip` check on every message it observes. Per-type
+// message counters feed the experiment reports.
 #pragma once
 
 #include <array>
@@ -17,6 +22,7 @@
 #include "obs/instruments.hpp"
 #include "openflow/messages.hpp"
 #include "sim/simulator.hpp"
+#include "util/ring_queue.hpp"
 #include "util/rng.hpp"
 
 namespace sdnbuf::of {
@@ -96,8 +102,9 @@ struct ChannelFaultCounters {
 class Channel {
  public:
   // Delivered message plus its size on the wire (OpenFlow bytes + transport
-  // framing), as a tcpdump capture would report it.
-  using Handler = std::function<void(const OfMessage&, std::size_t wire_bytes)>;
+  // framing), as a tcpdump capture would report it. The message is the
+  // sender's object and dies after the call, so a handler may move out of it.
+  using Handler = std::function<void(OfMessage&, std::size_t wire_bytes)>;
 
   // `to_controller` carries switch->controller traffic; `to_switch` the
   // reverse direction. Links are owned by the caller (the testbed).
@@ -107,8 +114,9 @@ class Channel {
   void set_switch_handler(Handler h) { switch_handler_ = std::move(h); }
 
   // Sends and returns the wire size of the message (including framing).
-  std::size_t send_from_switch(const OfMessage& msg);
-  std::size_t send_from_controller(const OfMessage& msg);
+  // Pass an rvalue to hand the message over without a copy.
+  std::size_t send_from_switch(OfMessage msg);
+  std::size_t send_from_controller(OfMessage msg);
 
   [[nodiscard]] const MessageCounters& to_controller_counters() const {
     return to_controller_counters_;
@@ -173,21 +181,32 @@ class Channel {
   }
 
  private:
-  std::size_t send(net::Link& link, MessageCounters& counters, Handler& handler,
-                   const OfMessage& msg, bool to_controller);
+  // One direction's messages between send and handler. The link is FIFO and
+  // jitter never reorders, so each stage is a queue; the scheduled events
+  // carry sequence numbers that are checked against the queue on pop.
+  struct Direction {
+    util::RingQueue<OfMessage> on_wire;   // sent, link delivery pending
+    util::RingQueue<OfMessage> held;      // delivered, held back by jitter
+    std::uint64_t on_wire_pushed = 0;
+    std::uint64_t on_wire_popped = 0;
+    std::uint64_t held_pushed = 0;
+    std::uint64_t held_popped = 0;
+    // Delivery-time floor: extra-delay jitter must not reorder messages.
+    sim::SimTime deliver_floor;
+  };
+
+  std::size_t send(net::Link& link, MessageCounters& counters, OfMessage msg,
+                   bool to_controller);
   // One wire transmission (original or duplicate): loss draw, delay draw,
   // link transit, in-order delivery to the handler.
-  void transmit(net::Link& link, Handler& handler, std::vector<std::uint8_t> wire,
-                std::size_t wire_bytes, const OfMessage& msg, bool to_controller);
-
-  // Scratch-buffer pools for wire encodings, one per endpoint. A buffer is
-  // checked out at send time by the sender, rides inside the delivery
-  // closure while in flight, and lands in the *receiver's* pool (capacity
-  // intact) once decoded — steady-state encode/deliver performs no
-  // allocation, buffers just migrate between the endpoint pools. Bounded so
-  // a burst cannot pin memory forever.
-  [[nodiscard]] std::vector<std::uint8_t> acquire_buffer(bool controller_side);
-  void release_buffer(bool controller_side, std::vector<std::uint8_t>&& buffer);
+  void transmit(net::Link& link, OfMessage msg, std::size_t wire_bytes, bool to_controller);
+  // Link delivery of the message sent with sequence number `seq`.
+  void arrive(bool to_controller, std::uint64_t seq, std::size_t wire_bytes, sim::SimTime extra,
+              bool jittered);
+  void deliver(bool to_controller, OfMessage& msg, std::size_t wire_bytes);
+  [[nodiscard]] Direction& direction(bool to_controller) {
+    return directions_[to_controller ? 1 : 0];
+  }
 
   sim::Simulator& sim_;
   net::Link& to_controller_;
@@ -203,13 +222,9 @@ class Channel {
   FaultProfile fault_profile_;
   ChannelFaultCounters fault_counters_;
   std::optional<util::Rng> fault_rng_;
-  // Per-direction delivery-time floor ([0] to_switch, [1] to_controller):
-  // extra-delay jitter must not reorder messages within a direction.
-  sim::SimTime deliver_floor_[2];
+  Direction directions_[2];  // [0] to_switch, [1] to_controller
   std::uint32_t next_switch_xid_ = 1;      // odd ids
   std::uint32_t next_controller_xid_ = 2;  // even ids
-  // [0] switch-side pool, [1] controller-side pool.
-  std::vector<std::vector<std::uint8_t>> buffer_pools_[2];
 };
 
 }  // namespace sdnbuf::of

@@ -142,6 +142,9 @@ inline constexpr std::size_t kPacketOutFixedSize = kHeaderSize + 8;   // 16
 inline constexpr std::size_t kFlowModFixedSize = kHeaderSize + kMatchSize + 24;  // 72
 inline constexpr std::size_t kFlowRemovedSize = kHeaderSize + kMatchSize + 40;   // 88
 inline constexpr std::size_t kPhyPortSize = 48;
+// ofp_phy_port's name field holds 15 characters plus a NUL: the one field
+// the codec does not round-trip (a longer PortDesc::name comes back cut).
+inline constexpr std::size_t kPortNameMaxChars = 15;
 inline constexpr std::size_t kPortStatusSize = kHeaderSize + 8 + kPhyPortSize;  // 64
 inline constexpr std::size_t kFeaturesReplyFixedSize = kHeaderSize + 24;
 inline constexpr std::size_t kStatsHeaderSize = kHeaderSize + 4;  // + type/flags

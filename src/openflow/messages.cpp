@@ -122,12 +122,11 @@ std::size_t encoded_size(const OfMessage& msg) {
 
 namespace {
 
-void put_header(std::vector<std::uint8_t>& out, MsgType type, std::size_t total_len,
-                std::uint32_t xid) {
-  SDNBUF_CHECK_MSG(total_len <= 0xffff, "OpenFlow message too long for 16-bit length");
+// The length field is written as 0 and patched once the body is encoded.
+void put_header(std::vector<std::uint8_t>& out, MsgType type, std::uint32_t xid) {
   out.push_back(kVersion);
   out.push_back(static_cast<std::uint8_t>(type));
-  put_be16(out, static_cast<std::uint16_t>(total_len));
+  put_be16(out, 0);
   put_be32(out, xid);
 }
 
@@ -135,7 +134,7 @@ void encode_port(std::vector<std::uint8_t>& out, const PortDesc& p) {
   put_be16(out, p.port_no);
   out.insert(out.end(), p.hw_addr.octets().begin(), p.hw_addr.octets().end());
   char name[16] = {};
-  std::copy_n(p.name.data(), std::min<std::size_t>(p.name.size(), 15), name);
+  std::copy_n(p.name.data(), std::min(p.name.size(), kPortNameMaxChars), name);
   out.insert(out.end(), name, name + 16);
   // config, advertised, supported are not modelled; store the current speed
   // in the "curr" word, the link-down bit in "state", and zero the rest.
@@ -167,9 +166,6 @@ std::optional<PortDesc> decode_port(std::span<const std::uint8_t> in) {
 void encode_message_into(const OfMessage& msg, std::vector<std::uint8_t>& out) {
   out.clear();
   out.reserve(encoded_size(msg));
-  const MsgType type = message_type(msg);
-  const std::uint32_t xid = message_xid(msg);
-  const std::size_t total = encoded_size(msg);
 
   struct Visitor {
     std::vector<std::uint8_t>& out;
@@ -318,9 +314,11 @@ void encode_message_into(const OfMessage& msg, std::vector<std::uint8_t>& out) {
     }
   };
 
-  put_header(out, type, total, xid);
+  put_header(out, message_type(msg), message_xid(msg));
   std::visit(Visitor{out}, msg);
-  SDNBUF_CHECK_MSG(out.size() == total, "encoded size mismatch");
+  SDNBUF_CHECK_MSG(out.size() <= 0xffff, "OpenFlow message too long for 16-bit length");
+  out[2] = static_cast<std::uint8_t>(out.size() >> 8);
+  out[3] = static_cast<std::uint8_t>(out.size() & 0xff);
 }
 
 std::vector<std::uint8_t> encode_message(const OfMessage& msg) {

@@ -43,7 +43,7 @@ struct FeaturesRequest {
 struct PortDesc {
   std::uint16_t port_no = 0;
   net::MacAddress hw_addr;
-  std::string name;  // <= 15 chars on the wire
+  std::string name;  // cut to kPortNameMaxChars on the wire
   std::uint32_t curr_speed_mbps = 100;
   bool link_down = false;  // OFPPS_LINK_DOWN bit of the phy-port state word
 
@@ -256,15 +256,16 @@ using OfMessage =
 [[nodiscard]] MsgType message_type(const OfMessage& msg);
 [[nodiscard]] std::uint32_t message_xid(const OfMessage& msg);
 
-// Encodes with a correct ofp_header (version/type/length/xid).
+// Encodes with a correct ofp_header (version/type/length/xid); the length
+// field is the number of bytes actually written.
 [[nodiscard]] std::vector<std::uint8_t> encode_message(const OfMessage& msg);
 
-// Encodes into `out` (cleared first), reusing its capacity — the hot-path
-// variant the control channel feeds with per-channel scratch buffers so
-// steady-state encoding performs no allocation.
+// Encodes into `out` (cleared first), reusing its capacity.
 void encode_message_into(const OfMessage& msg, std::vector<std::uint8_t>& out);
 
-// Full encoded size without materializing the buffer.
+// Full encoded size without materializing the buffer: the size the control
+// channel charges on the wire. The invariant registry checks it against
+// encode_message on every message it observes (`codec-roundtrip`).
 [[nodiscard]] std::size_t encoded_size(const OfMessage& msg);
 
 // Decodes one message; nullopt on truncation, bad version, or unknown type.

@@ -11,7 +11,7 @@ CpuServer::CpuServer(Simulator& sim, std::string name, unsigned cores)
   SDNBUF_CHECK_MSG(cores_ >= 1, "a server needs at least one core");
 }
 
-void CpuServer::submit(SimTime service, std::function<void()> on_done) {
+void CpuServer::submit(SimTime service, EventFn on_done) {
   SDNBUF_CHECK_MSG(service >= SimTime::zero(), "negative service time");
   Job job{service, sim_.now(), std::move(on_done)};
   if (busy_ < cores_) {
@@ -25,26 +25,30 @@ void CpuServer::start(Job job) {
   ++busy_;
   ++jobs_started_;
   wait_ms_.add((sim_.now() - job.enqueued_at).ms());
-  const SimTime service = job.service;
-  auto on_done = std::move(job.on_done);
-  sim_.schedule(service, [this, service, on_done = std::move(on_done)]() mutable {
+  std::uint32_t slot = 0;
+  while (slot < in_service_.size() && in_service_[slot].busy) ++slot;
+  if (slot == in_service_.size()) in_service_.emplace_back();
+  InService& core = in_service_[slot];
+  core.service = job.service;
+  core.on_done = std::move(job.on_done);
+  core.busy = true;
+  sim_.schedule(job.service, [this, slot]() {
     ScopedProfileTag tag{name_.c_str()};
-    on_complete(service, std::move(on_done));
+    on_complete(slot);
   });
 }
 
-void CpuServer::on_complete(SimTime service, std::function<void()> on_done) {
-  SDNBUF_CHECK(busy_ > 0);
+void CpuServer::on_complete(std::uint32_t slot) {
+  SDNBUF_CHECK(busy_ > 0 && in_service_[slot].busy);
   --busy_;
   ++jobs_completed_;
-  busy_time_ += service;
+  InService& core = in_service_[slot];
+  busy_time_ += core.service;
+  EventFn on_done = std::move(core.on_done);
+  core.busy = false;
   // Free core: pull the next queued job before running the completion
   // callback, so callback-triggered submissions queue fairly behind it.
-  if (!queue_.empty()) {
-    Job next = std::move(queue_.front());
-    queue_.pop_front();
-    start(std::move(next));
-  }
+  if (!queue_.empty()) start(queue_.pop_front());
   if (on_done) on_done();
 }
 

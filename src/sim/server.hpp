@@ -5,15 +5,19 @@
 // ASIC<->CPU bus of the switch and similar serial resources. Jobs carry a
 // pre-computed service time; the station provides queueing, busy-time
 // accounting (for CPU-utilization metrics) and waiting-time statistics.
+// Jobs are move-only `EventFn`s: a queued job waits in a ring that grows on
+// first use, and a job in service sits in a per-core slot, so its completion
+// event captures only {station, slot} and the job itself is never wrapped
+// in a second callback.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
+#include "util/ring_queue.hpp"
 #include "util/stats.hpp"
 
 namespace sdnbuf::sim {
@@ -27,7 +31,7 @@ class CpuServer {
   CpuServer& operator=(const CpuServer&) = delete;
 
   // Enqueues a job. `on_done` runs when service completes (may be empty).
-  void submit(SimTime service, std::function<void()> on_done);
+  void submit(SimTime service, EventFn on_done);
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] unsigned cores() const { return cores_; }
@@ -54,17 +58,24 @@ class CpuServer {
   struct Job {
     SimTime service;
     SimTime enqueued_at;
-    std::function<void()> on_done;
+    EventFn on_done;
+  };
+  // One core's job in service.
+  struct InService {
+    SimTime service;
+    EventFn on_done;
+    bool busy = false;
   };
 
   void start(Job job);
-  void on_complete(SimTime service, std::function<void()> on_done);
+  void on_complete(std::uint32_t slot);
 
   Simulator& sim_;
   std::string name_;
   unsigned cores_;
   unsigned busy_ = 0;
-  std::deque<Job> queue_;
+  util::RingQueue<Job> queue_;
+  std::vector<InService> in_service_;  // grows on demand, to at most `cores_`
   SimTime busy_time_;
   std::uint64_t jobs_started_ = 0;
   std::uint64_t jobs_completed_ = 0;

@@ -22,10 +22,11 @@
 
 namespace sdnbuf::sim {
 
-// Move-only, small-buffer-optimized callback: lambdas capturing up to 64
-// bytes (a handful of pointers and values) schedule without touching the
-// heap; larger captures fall back to one allocation.
-using EventFn = util::SmallFunction<void(), 64>;
+// Move-only, small-buffer-optimized callback: lambdas capturing up to 160
+// bytes schedule without touching the heap. That covers a moved
+// `net::Packet` (128 bytes) plus a few ids, and a prepared `of::PacketOut`
+// or `of::FlowMod`; larger captures fall back to one allocation.
+using EventFn = util::SmallFunction<void(), 160>;
 
 class Simulator;
 

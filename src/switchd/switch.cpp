@@ -102,7 +102,7 @@ void Switch::set_buffer_instruments(const obs::BufferInstruments& instruments) {
 void Switch::connect(of::Channel& channel) {
   channel_ = &channel;
   channel.set_switch_handler(
-      [this](const of::OfMessage& msg, std::size_t) { on_control_message(msg); });
+      [this](of::OfMessage& msg, std::size_t) { on_control_message(msg); });
 }
 
 void Switch::start() {
@@ -164,7 +164,7 @@ void Switch::receive(std::uint16_t in_port, net::Packet packet) {
   // ASIC match stage: a fixed-latency hardware pipeline — deterministic, so
   // simultaneously arriving packets keep their arrival order.
   sim_.schedule(sim::SimTime::from_microseconds(config_.costs.asic_match_us),
-                [this, in_port, packet]() {
+                [this, in_port, packet = std::move(packet)]() mutable {
     sim::ScopedProfileTag tag{config_.name.c_str()};
     FlowEntry* entry = table_.lookup(packet, in_port, sim_.now());
     if (entry != nullptr) {
@@ -172,25 +172,25 @@ void Switch::receive(std::uint16_t in_port, net::Packet packet) {
       execute_actions(packet, entry->actions, in_port);
     } else {
       ++counters_.table_misses;
-      handle_miss(in_port, packet);
+      handle_miss(in_port, std::move(packet));
     }
   });
 }
 
-void Switch::handle_miss(std::uint16_t in_port, const net::Packet& packet) {
+void Switch::handle_miss(std::uint16_t in_port, net::Packet packet) {
   if (conn_state_ != ConnectionState::Connected) {
     handle_miss_degraded(in_port, packet);
     return;
   }
   switch (config_.buffer_mode) {
     case BufferMode::NoBuffer:
-      miss_no_buffer(in_port, packet, /*buffer_exhausted=*/false);
+      miss_no_buffer(in_port, std::move(packet), /*buffer_exhausted=*/false);
       break;
     case BufferMode::PacketGranularity:
-      miss_packet_granularity(in_port, packet);
+      miss_packet_granularity(in_port, std::move(packet));
       break;
     case BufferMode::FlowGranularity:
-      miss_flow_granularity(in_port, packet);
+      miss_flow_granularity(in_port, std::move(packet));
       break;
   }
 }
@@ -208,8 +208,7 @@ void Switch::handle_miss_degraded(std::uint16_t in_port, const net::Packet& pack
   if (observer_ != nullptr) observer_->on_packet_dropped(packet, "fail-secure", sim_.now());
 }
 
-void Switch::miss_no_buffer(std::uint16_t in_port, const net::Packet& packet,
-                            bool buffer_exhausted) {
+void Switch::miss_no_buffer(std::uint16_t in_port, net::Packet packet, bool buffer_exhausted) {
   ++counters_.full_frame_pkt_ins;
   if (buffer_exhausted) {
     SDNBUF_DEBUG("switch", "buffer exhausted, full-frame packet_in for flow "
@@ -217,55 +216,58 @@ void Switch::miss_no_buffer(std::uint16_t in_port, const net::Packet& packet,
   }
   // The whole frame crosses the ASIC<->CPU bus, then the CPU builds a
   // packet_in that carries the entire frame.
-  bus_.submit(bus_time(packet.frame_size), [this, in_port, packet]() {
+  const std::uint32_t frame_size = packet.frame_size;
+  bus_.submit(bus_time(frame_size), [this, in_port, packet = std::move(packet)]() mutable {
     const double encode_us = config_.costs.miss_base_us + config_.costs.pkt_in_base_us +
                              config_.costs.pkt_in_per_byte_us * packet.frame_size;
-    cpu_.submit(cost_us(encode_us), [this, in_port, packet]() {
+    cpu_.submit(cost_us(encode_us), [this, in_port, packet = std::move(packet)]() {
       send_packet_in(packet, in_port, of::kNoBuffer, packet.frame_size,
                      of::PacketInReason::NoMatch);
     });
   });
 }
 
-void Switch::miss_packet_granularity(std::uint16_t in_port, const net::Packet& packet) {
+void Switch::miss_packet_granularity(std::uint16_t in_port, net::Packet packet) {
   SDNBUF_CHECK(packet_buffer_ != nullptr);
   const auto buffer_id = packet_buffer_->store(packet);
   if (!buffer_id) {
     // OpenFlow fallback: no free unit, send the entire frame.
-    miss_no_buffer(in_port, packet, /*buffer_exhausted=*/true);
+    miss_no_buffer(in_port, std::move(packet), /*buffer_exhausted=*/true);
     return;
   }
   const std::size_t data_bytes = std::min<std::size_t>(config_.miss_send_len, packet.frame_size);
   // Only the captured headers cross the bus.
-  bus_.submit(bus_time(data_bytes), [this, in_port, packet, id = *buffer_id, data_bytes]() {
+  bus_.submit(bus_time(data_bytes), [this, in_port, packet = std::move(packet), id = *buffer_id,
+                                     data_bytes]() mutable {
     const double encode_us = config_.costs.miss_base_us + config_.costs.buffer_store_us +
                              config_.costs.pkt_in_base_us +
                              config_.costs.pkt_in_per_byte_us * static_cast<double>(data_bytes);
-    cpu_.submit(cost_us(encode_us), [this, in_port, packet, id, data_bytes]() {
+    cpu_.submit(cost_us(encode_us), [this, in_port, packet = std::move(packet), id, data_bytes]() {
       send_packet_in(packet, in_port, id, data_bytes, of::PacketInReason::NoMatch);
     });
   });
 }
 
-void Switch::miss_flow_granularity(std::uint16_t in_port, const net::Packet& packet) {
+void Switch::miss_flow_granularity(std::uint16_t in_port, net::Packet packet) {
   SDNBUF_CHECK(flow_buffer_ != nullptr);
   const auto stored = flow_buffer_->store(packet, in_port);
   if (!stored) {
-    miss_no_buffer(in_port, packet, /*buffer_exhausted=*/true);
+    miss_no_buffer(in_port, std::move(packet), /*buffer_exhausted=*/true);
     return;
   }
   if (stored->first_of_flow) {
     // Algorithm 1, lines 7-9: buffer, create the shared buffer_id, request.
     const std::size_t data_bytes =
         std::min<std::size_t>(config_.miss_send_len, packet.frame_size);
-    bus_.submit(bus_time(data_bytes),
-                [this, in_port, packet, id = stored->buffer_id, data_bytes]() {
+    bus_.submit(bus_time(data_bytes), [this, in_port, packet = std::move(packet),
+                                       id = stored->buffer_id, data_bytes]() mutable {
       const double encode_us = config_.costs.miss_base_us + config_.costs.flow_map_lookup_us +
                                config_.costs.flow_map_store_us +
                                config_.costs.flow_first_packet_extra_us +
                                config_.costs.buffer_store_us + config_.costs.pkt_in_base_us +
                                config_.costs.pkt_in_per_byte_us * static_cast<double>(data_bytes);
-      cpu_.submit(cost_us(encode_us), [this, in_port, packet, id, data_bytes]() {
+      cpu_.submit(cost_us(encode_us),
+                  [this, in_port, packet = std::move(packet), id, data_bytes]() {
         send_packet_in(packet, in_port, id, data_bytes, of::PacketInReason::NoMatch);
         flow_buffer_->mark_request_sent(id, sim_.now());
         schedule_flow_resend_check(id, in_port);
@@ -319,10 +321,9 @@ void Switch::schedule_flow_resend_check(std::uint32_t buffer_id, std::uint16_t i
     ++counters_.resend_pkt_ins;
     flow_buffer_->record_resend(buffer_id);
     const std::size_t data_bytes = std::min<std::size_t>(config_.miss_send_len, front->frame_size);
-    const net::Packet packet = *front;
     const double encode_us = config_.costs.pkt_in_base_us +
                              config_.costs.pkt_in_per_byte_us * static_cast<double>(data_bytes);
-    cpu_.submit(cost_us(encode_us), [this, in_port, packet, buffer_id, data_bytes]() {
+    cpu_.submit(cost_us(encode_us), [this, in_port, packet = *front, buffer_id, data_bytes]() {
       if (flow_buffer_->front_packet(buffer_id) == nullptr) return;
       if (conn_state_ != ConnectionState::Connected) return;
       send_packet_in(packet, in_port, buffer_id, data_bytes, of::PacketInReason::FlowResend);
@@ -400,11 +401,10 @@ void Switch::complete_reconnect() {
       const std::uint16_t in_port = flow_buffer_->in_port_of(id);
       const std::size_t data_bytes =
           std::min<std::size_t>(config_.miss_send_len, front->frame_size);
-      const net::Packet packet = *front;
       const double encode_us =
           config_.costs.pkt_in_base_us +
           config_.costs.pkt_in_per_byte_us * static_cast<double>(data_bytes);
-      cpu_.submit(cost_us(encode_us), [this, in_port, packet, id, data_bytes]() {
+      cpu_.submit(cost_us(encode_us), [this, in_port, packet = *front, id, data_bytes]() {
         if (flow_buffer_->front_packet(id) == nullptr) return;
         if (conn_state_ != ConnectionState::Connected) return;
         send_packet_in(packet, in_port, id, data_bytes, of::PacketInReason::FlowResend);
@@ -443,7 +443,7 @@ void Switch::send_packet_in(const net::Packet& packet, std::uint16_t in_port,
                      packet.hop_arrived_at};
   ++counters_.pkt_ins_sent;
   if (observer_ != nullptr) observer_->on_packet_in_sent(msg.xid, packet, buffer_id, sim_.now());
-  channel_->send_from_switch(msg);
+  channel_->send_from_switch(std::move(msg));
   if (recorder_ != nullptr) recorder_->on_packet_in_sent(packet.flow_id, sim_.now());
 }
 
@@ -457,18 +457,18 @@ const Switch::PendingRequest* Switch::pending_for_xid(std::uint32_t xid) const {
   return it == pending_requests_.end() ? nullptr : &it->second;
 }
 
-void Switch::on_control_message(const of::OfMessage& msg) {
+void Switch::on_control_message(of::OfMessage& msg) {
   if (crashed_) return;  // a dead switch consumes nothing
-  if (const auto* fm = std::get_if<of::FlowMod>(&msg)) {
+  if (auto* fm = std::get_if<of::FlowMod>(&msg)) {
     if (recorder_ != nullptr) {
       recorder_->on_response_arrival(flow_id_for_xid(fm->xid), sim_.now());
     }
-    handle_flow_mod(*fm);
-  } else if (const auto* po = std::get_if<of::PacketOut>(&msg)) {
+    handle_flow_mod(std::move(*fm));
+  } else if (auto* po = std::get_if<of::PacketOut>(&msg)) {
     if (recorder_ != nullptr) {
       recorder_->on_response_arrival(flow_id_for_xid(po->xid), sim_.now());
     }
-    handle_packet_out(*po);
+    handle_packet_out(std::move(*po));
   } else if (const auto* echo = std::get_if<of::EchoRequest>(&msg)) {
     channel_->send_from_switch(of::EchoReply{echo->xid});
   } else if (const auto* reply = std::get_if<of::EchoReply>(&msg)) {
@@ -493,7 +493,7 @@ void Switch::on_control_message(const of::OfMessage& msg) {
     for (const auto& [port_no, port] : ports_) {
       reply.ports.push_back(port_desc(port_no, port));
     }
-    channel_->send_from_switch(reply);
+    channel_->send_from_switch(std::move(reply));
   } else if (const auto* fs = std::get_if<of::FlowStatsRequest>(&msg)) {
     handle_flow_stats(*fs);
   } else if (const auto* as = std::get_if<of::AggregateStatsRequest>(&msg)) {
@@ -514,9 +514,9 @@ void Switch::on_control_message(const of::OfMessage& msg) {
   }
 }
 
-void Switch::handle_flow_mod(const of::FlowMod& msg) {
+void Switch::handle_flow_mod(of::FlowMod msg) {
   ++counters_.flow_mods_handled;
-  cpu_.submit(cost_us(config_.costs.flow_mod_install_us), [this, msg]() {
+  cpu_.submit(cost_us(config_.costs.flow_mod_install_us), [this, msg = std::move(msg)]() mutable {
     switch (msg.command) {
       case of::FlowModCommand::Add:
       case of::FlowModCommand::Modify:
@@ -551,17 +551,17 @@ void Switch::handle_flow_mod(const of::FlowMod& msg) {
       synthetic.xid = msg.xid;
       synthetic.buffer_id = msg.buffer_id;
       synthetic.in_port = msg.match.in_port;
-      synthetic.actions = msg.actions;
-      handle_packet_out(synthetic);
+      synthetic.actions = std::move(msg.actions);
+      handle_packet_out(std::move(synthetic));
     }
   });
 }
 
-void Switch::handle_packet_out(const of::PacketOut& msg) {
+void Switch::handle_packet_out(of::PacketOut msg) {
   ++counters_.pkt_outs_handled;
   const double exec_us = config_.costs.pkt_out_base_us +
                          config_.costs.pkt_out_per_byte_us * static_cast<double>(msg.data.size());
-  cpu_.submit(cost_us(exec_us), [this, msg]() {
+  cpu_.submit(cost_us(exec_us), [this, msg = std::move(msg)]() {
     if (msg.buffer_id == of::kNoBuffer) {
       // The frame travels in the message; it must cross the bus to reach
       // the ASIC before egress.
@@ -579,8 +579,9 @@ void Switch::handle_packet_out(const of::PacketOut& msg) {
         parsed->tstack = pending->tstack;
         parsed->hop_arrived_at = pending->hop_arrived_at;
       }
-      bus_.submit(bus_time(msg.data.size()), [this, packet = *parsed, msg]() {
-        execute_actions(packet, msg.actions, msg.in_port);
+      bus_.submit(bus_time(msg.data.size()), [this, packet = std::move(*parsed),
+                                              actions = msg.actions, in_port = msg.in_port]() {
+        execute_actions(packet, actions, in_port);
       });
       return;
     }
@@ -592,9 +593,11 @@ void Switch::handle_packet_out(const of::PacketOut& msg) {
         report_unknown_buffer(msg);
         return;
       }
-      sim_.schedule(cost_us(config_.costs.buffer_release_us), [this, packet = *packet, msg]() {
+      sim_.schedule(cost_us(config_.costs.buffer_release_us),
+                    [this, packet = std::move(*packet), actions = msg.actions,
+                     in_port = msg.in_port]() {
         sim::ScopedProfileTag tag{config_.name.c_str()};
-        execute_actions(packet, msg.actions, msg.in_port);
+        execute_actions(packet, actions, in_port);
       });
     } else if (config_.buffer_mode == BufferMode::FlowGranularity) {
       SDNBUF_CHECK(flow_buffer_ != nullptr);
@@ -606,11 +609,12 @@ void Switch::handle_packet_out(const of::PacketOut& msg) {
       // Algorithm 2, lines 4-9: forward the buffered packets one by one,
       // each paying its release cost.
       sim::SimTime offset;
-      for (const auto& packet : packets) {
+      for (auto& packet : packets) {
         offset += cost_us(config_.costs.buffer_release_us);
-        sim_.schedule(offset, [this, packet, msg]() {
+        sim_.schedule(offset, [this, packet = std::move(packet), actions = msg.actions,
+                               in_port = msg.in_port]() {
           sim::ScopedProfileTag tag{config_.name.c_str()};
-          execute_actions(packet, msg.actions, msg.in_port);
+          execute_actions(packet, actions, in_port);
         });
       }
     } else {
@@ -631,7 +635,7 @@ void Switch::report_unknown_buffer(const of::PacketOut& msg) {
   auto offending = of::encode_message(msg);
   offending.resize(std::min<std::size_t>(offending.size(), 64));
   err.data = std::move(offending);
-  channel_->send_from_switch(err);
+  channel_->send_from_switch(std::move(err));
 }
 
 void Switch::execute_actions(const net::Packet& packet, const of::ActionList& actions,
@@ -641,8 +645,11 @@ void Switch::execute_actions(const net::Packet& packet, const of::ActionList& ac
     if (observer_ != nullptr) observer_->on_packet_dropped(packet, "no-actions", sim_.now());
     return;
   }
-  net::Packet current = packet;
+  // L2 rewrites apply to a private copy, made only once one applies;
+  // outputs before it forward the original.
+  std::optional<net::Packet> rewritten;
   for (const auto& action : actions) {
+    const net::Packet& current = rewritten ? *rewritten : packet;
     if (const auto* out = std::get_if<of::OutputAction>(&action)) {
       if (out->port == of::kPortFlood || out->port == of::kPortAll) {
         flood(current, in_port);
@@ -656,9 +663,11 @@ void Switch::execute_actions(const net::Packet& packet, const of::ActionList& ac
         egress(current, out->port, in_port);
       }
     } else if (const auto* src = std::get_if<of::SetDlSrcAction>(&action)) {
-      current.eth.src = src->mac;
+      if (!rewritten) rewritten.emplace(packet);
+      rewritten->eth.src = src->mac;
     } else if (const auto* dst = std::get_if<of::SetDlDstAction>(&action)) {
-      current.eth.dst = dst->mac;
+      if (!rewritten) rewritten.emplace(packet);
+      rewritten->eth.dst = dst->mac;
     }
   }
 }
@@ -751,7 +760,7 @@ void Switch::maybe_sample(std::uint16_t in_port, const net::Packet& packet) {
     record.xid = channel_->next_xid();
     record.sample_seq = static_cast<std::uint32_t>(counters_.flow_samples_sent);
     ++counters_.flow_samples_sent;
-    channel_->send_from_switch(record);
+    channel_->send_from_switch(std::move(record));
   });
 }
 
@@ -834,7 +843,7 @@ void Switch::send_port_status(std::uint16_t port_no, const Port& port, bool up) 
   msg.reason = up ? of::PortStatusReason::Add : of::PortStatusReason::Delete;
   msg.desc = port_desc(port_no, port);
   ++counters_.port_status_sent;
-  channel_->send_from_switch(msg);
+  channel_->send_from_switch(std::move(msg));
 }
 
 of::PortDesc Switch::port_desc(std::uint16_t port_no, const Port& port) const {
@@ -920,7 +929,7 @@ void Switch::handle_flow_stats(const of::FlowStatsRequest& msg) {
       e.byte_count = entry->byte_count;
       reply.flows.push_back(std::move(e));
     }
-    channel_->send_from_switch(reply);
+    channel_->send_from_switch(std::move(reply));
   });
 }
 
@@ -937,7 +946,7 @@ void Switch::handle_aggregate_stats(const of::AggregateStatsRequest& msg) {
       reply.packet_count += entry->packet_count;
       reply.byte_count += entry->byte_count;
     }
-    channel_->send_from_switch(reply);
+    channel_->send_from_switch(std::move(reply));
   });
 }
 
@@ -959,7 +968,7 @@ void Switch::handle_port_stats(const of::PortStatsRequest& msg) {
       e.tx_dropped = port.tx_dropped;
       reply.ports.push_back(e);
     }
-    channel_->send_from_switch(reply);
+    channel_->send_from_switch(std::move(reply));
   });
 }
 
@@ -1017,7 +1026,7 @@ void Switch::emit_flow_removed(const RemovedEntry& removed) {
   msg.packet_count = removed.entry.packet_count;
   msg.byte_count = removed.entry.byte_count;
   ++counters_.flow_removed_sent;
-  channel_->send_from_switch(msg);
+  channel_->send_from_switch(std::move(msg));
 }
 
 void Switch::reset_counters() {

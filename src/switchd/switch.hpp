@@ -300,10 +300,10 @@ class Switch {
   [[nodiscard]] sim::SimTime cost_us(double nominal_us);
   [[nodiscard]] sim::SimTime bus_time(std::size_t bytes) const;
 
-  void handle_miss(std::uint16_t in_port, const net::Packet& packet);
-  void miss_no_buffer(std::uint16_t in_port, const net::Packet& packet, bool buffer_exhausted);
-  void miss_packet_granularity(std::uint16_t in_port, const net::Packet& packet);
-  void miss_flow_granularity(std::uint16_t in_port, const net::Packet& packet);
+  void handle_miss(std::uint16_t in_port, net::Packet packet);
+  void miss_no_buffer(std::uint16_t in_port, net::Packet packet, bool buffer_exhausted);
+  void miss_packet_granularity(std::uint16_t in_port, net::Packet packet);
+  void miss_flow_granularity(std::uint16_t in_port, net::Packet packet);
 
   void send_packet_in(const net::Packet& packet, std::uint16_t in_port, std::uint32_t buffer_id,
                       std::size_t data_bytes, of::PacketInReason reason);
@@ -319,9 +319,9 @@ class Switch {
   void complete_reconnect();
   void handle_miss_degraded(std::uint16_t in_port, const net::Packet& packet);
 
-  void on_control_message(const of::OfMessage& msg);
-  void handle_flow_mod(const of::FlowMod& msg);
-  void handle_packet_out(const of::PacketOut& msg);
+  void on_control_message(of::OfMessage& msg);
+  void handle_flow_mod(of::FlowMod msg);
+  void handle_packet_out(of::PacketOut msg);
   void report_unknown_buffer(const of::PacketOut& msg);
   void handle_flow_stats(const of::FlowStatsRequest& msg);
   void handle_aggregate_stats(const of::AggregateStatsRequest& msg);

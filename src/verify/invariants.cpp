@@ -20,6 +20,19 @@ std::string payload_str(std::uint64_t flow_id, std::uint32_t seq) {
 
 std::string payload_str(const net::Packet& p) { return payload_str(p.flow_id, p.seq_in_flow); }
 
+// `msg` as the codec can carry it: port names cut to the wire's width.
+of::OfMessage with_wire_port_names(of::OfMessage msg) {
+  const auto cut = [](of::PortDesc& port) {
+    if (port.name.size() > of::kPortNameMaxChars) port.name.resize(of::kPortNameMaxChars);
+  };
+  if (auto* features = std::get_if<of::FeaturesReply>(&msg)) {
+    for (of::PortDesc& port : features->ports) cut(port);
+  } else if (auto* status = std::get_if<of::PortStatus>(&msg)) {
+    cut(status->desc);
+  }
+  return msg;
+}
+
 // Reconstructs the exact 5-tuple a fully-specified match selects; nullopt
 // when any of the five fields is wildcarded (aggregated rules).
 std::optional<net::FlowKey> exact_key_of(const of::Match& m) {
@@ -256,6 +269,7 @@ void InvariantRegistry::on_control_message(bool to_controller, const of::OfMessa
   }
   last_send_[dir] = now;
   have_send_[dir] = true;
+  check_codec(msg, now);
 
   if (to_controller) {
     if (const auto* pi = std::get_if<of::PacketIn>(&msg)) {
@@ -312,6 +326,26 @@ void InvariantRegistry::on_control_message(bool to_controller, const of::OfMessa
     if (packet_ins_.count(xid) == 0) {
       violate(now, "unpaired-packet-out", "xid " + std::to_string(xid) + " answers no packet_in");
     }
+  }
+}
+
+void InvariantRegistry::check_codec(const of::OfMessage& msg, sim::SimTime now) {
+  // The channel charges encoded_size and hands the typed message over, so
+  // this is where the real codec proves both agree with it.
+  const std::vector<std::uint8_t> wire = of::encode_message(msg);
+  const std::string what = std::string(of::msg_type_name(of::message_type(msg))) + " xid " +
+                           std::to_string(of::message_xid(msg));
+  if (of::encoded_size(msg) != wire.size()) {
+    violate(now, "codec-roundtrip",
+            what + ": encoded_size " + std::to_string(of::encoded_size(msg)) +
+                " != " + std::to_string(wire.size()) + " encoded bytes");
+    return;
+  }
+  const std::optional<of::OfMessage> decoded = of::decode_message(wire);
+  if (!decoded.has_value()) {
+    violate(now, "codec-roundtrip", what + ": encoding does not decode");
+  } else if (*decoded != msg && *decoded != with_wire_port_names(msg)) {
+    violate(now, "codec-roundtrip", what + ": decodes to a different message");
   }
 }
 

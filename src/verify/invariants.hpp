@@ -20,6 +20,10 @@
 //                     direction
 //   xid pairing       every flow_mod/packet_out answers a packet_in the
 //                     switch actually sent, and packet_in xids are unique
+//   codec round trip  every control message encodes to encoded_size bytes
+//                     (the size the channel charges without encoding) and
+//                     decodes back to itself; a port name longer than the
+//                     wire's 15 characters is the one documented exception
 //
 // Violations are recorded (never thrown) so a fuzzer can harvest them per
 // run and report the offending seed/config; `finalize` runs the end-of-run
@@ -178,6 +182,8 @@ class InvariantRegistry final : public InvariantObserver {
   };
 
   void violate(sim::SimTime when, std::string invariant, std::string detail);
+  // The `codec-roundtrip` check of one observed control message.
+  void check_codec(const of::OfMessage& msg, sim::SimTime now);
   [[nodiscard]] static bool tracked(const net::Packet& packet);
   [[nodiscard]] PacketAccount* account_for(const net::Packet& packet);
   void check_mmu_event(std::uint32_t queue, std::uint64_t queue_cells_after,

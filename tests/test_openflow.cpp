@@ -6,6 +6,7 @@
 #include <set>
 
 #include "net/link.hpp"
+#include "net/link_fault.hpp"
 #include "openflow/actions.hpp"
 #include "openflow/channel.hpp"
 #include "openflow/constants.hpp"
@@ -419,6 +420,91 @@ TEST_P(DecodeFuzzTest, BitFlippedValidMessagesAreHandledSafely) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecodeFuzzTest, ::testing::Values(101, 202, 303));
 
+// One message of every OfMessage alternative, every field off its default.
+// The control channel charges encoded_size and delivers the typed message
+// without encoding it, so these are the sizes and the symmetry it relies on.
+std::vector<OfMessage> one_of_each_message(util::Rng& rng) {
+  const auto u16 = [&rng]() { return static_cast<std::uint16_t>(1 + rng.next_below(0xfffe)); };
+  const auto u32 = [&rng]() { return static_cast<std::uint32_t>(1 + rng.next_below(1u << 31)); };
+  const auto mac = [&rng]() {
+    return net::MacAddress::from_index(static_cast<std::uint32_t>(1 + rng.next_below(1000)));
+  };
+  const auto bytes = [&rng](std::size_t n) {
+    std::vector<std::uint8_t> out(n);
+    for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_below(256));
+    return out;
+  };
+  Match match = Match::exact_from(sample_packet(static_cast<std::uint32_t>(rng.next_below(500))),
+                                  u16());
+  match.set_nw_src_ignored_bits(8);
+  const ActionList actions{OutputAction{u16(), u16()}, SetDlSrcAction{mac()},
+                           SetDlDstAction{mac()}};
+  PortDesc port{u16(), mac(), "eth" + std::to_string(rng.next_below(100)), u32(), true};
+
+  std::vector<OfMessage> all;
+  all.push_back(Hello{u32()});
+  all.push_back(Error{u32(), ErrorType::BadRequest, ErrorCode::BufferUnknown, bytes(64)});
+  all.push_back(EchoRequest{u32()});
+  all.push_back(EchoReply{u32()});
+  all.push_back(FeaturesRequest{u32()});
+  all.push_back(FeaturesReply{u32(), rng.next_u64(), u32(), 3, {port, port}});
+  all.push_back(PacketIn{u32(), u32(), u16(), u16(), PacketInReason::Action, bytes(128)});
+  all.push_back(PacketOut{u32(), u32(), u16(), actions, bytes(60)});
+  all.push_back(FlowMod{u32(), match, rng.next_u64(), FlowModCommand::ModifyStrict, u16(), u16(),
+                        u16(), u32(), u16(), kFlowModSendFlowRem, actions});
+  all.push_back(FlowRemoved{u32(), match, rng.next_u64(), u16(), FlowRemovedReason::Delete,
+                            u32(), u32(), u16(), rng.next_u64(), rng.next_u64()});
+  all.push_back(PortStatus{u32(), PortStatusReason::Delete, port});
+  all.push_back(FlowStatsRequest{u32(), match, u16()});
+  FlowStatsEntry entry{match, u32(), u32(), u16(), u16(), u16(),
+                       rng.next_u64(), rng.next_u64(), rng.next_u64()};
+  all.push_back(FlowStatsReply{u32(), {entry, entry}});
+  all.push_back(AggregateStatsRequest{u32(), match, u16()});
+  all.push_back(AggregateStatsReply{u32(), rng.next_u64(), rng.next_u64(), u32()});
+  all.push_back(PortStatsRequest{u32(), u16()});
+  PortStatsEntry port_stats{u16(), rng.next_u64(), rng.next_u64(), rng.next_u64(),
+                            rng.next_u64(), rng.next_u64(), rng.next_u64()};
+  all.push_back(PortStatsReply{u32(), {port_stats, port_stats}});
+  all.push_back(BarrierRequest{u32()});
+  all.push_back(BarrierReply{u32()});
+  all.push_back(FlowSample{u32(), u32(), u32(), u32(), u16(), u16(), u16(), u16(), 17});
+  return all;
+}
+
+class EveryMessagePropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EveryMessagePropertyTest, EncodedSizeMatchesCodecAndRoundTrips) {
+  util::Rng rng{GetParam()};
+  for (int round = 0; round < 20; ++round) {
+    const std::vector<OfMessage> all = one_of_each_message(rng);
+    std::set<std::size_t> alternatives;
+    for (const OfMessage& msg : all) {
+      alternatives.insert(msg.index());
+      expect_round_trip(msg);
+    }
+    ASSERT_EQ(alternatives.size(), std::variant_size_v<OfMessage>);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EveryMessagePropertyTest, ::testing::Values(7, 8, 9));
+
+// The codec's one lossy field: ofp_phy_port carries 15 name characters, so a
+// longer PortDesc::name comes back cut. Everything else survives.
+TEST(Messages, PortNameIsCutToWireWidth) {
+  PortDesc port;
+  port.port_no = 3;
+  port.name = "a-very-long-port-name";
+  PortStatus status{5, PortStatusReason::Modify, port};
+  const auto wire = encode_message(status);
+  EXPECT_EQ(wire.size(), encoded_size(OfMessage{status}));
+  const auto decoded = decode_message(wire);
+  ASSERT_TRUE(decoded.has_value());
+  const auto& back = std::get<PortStatus>(*decoded);
+  EXPECT_EQ(back.desc.name, port.name.substr(0, kPortNameMaxChars));
+  status.desc.name.resize(kPortNameMaxChars);
+  EXPECT_EQ(OfMessage{status}, *decoded);
+}
+
 // --- channel ---
 
 struct ChannelFixture : ::testing::Test {
@@ -483,6 +569,62 @@ TEST_F(ChannelFixture, CountersTrackTypeAndBytes) {
   EXPECT_EQ(c.bytes(MsgType::Hello), kHeaderSize + kTransportOverhead);
   EXPECT_EQ(c.total_bytes(),
             2 * (kPacketInFixedSize + kTransportOverhead) + kHeaderSize + kTransportOverhead);
+}
+
+TEST_F(ChannelFixture, HandlerReceivesTheSentMessageItself) {
+  // No encode/decode and no copy on the way: the packet_in that arrives owns
+  // the very data buffer the switch built, and the handler may take it.
+  std::vector<std::uint8_t> taken;
+  channel.set_controller_handler([&](OfMessage& m, std::size_t) {
+    taken = std::move(std::get<PacketIn>(m).data);
+  });
+  PacketIn pi;
+  pi.xid = 5;
+  pi.data = {9, 8, 7};
+  const std::uint8_t* buffer = pi.data.data();
+  channel.send_from_switch(std::move(pi));
+  sim.run();
+  EXPECT_EQ(taken, (std::vector<std::uint8_t>{9, 8, 7}));
+  EXPECT_EQ(taken.data(), buffer);
+}
+
+TEST_F(ChannelFixture, FrameTheLinkDropsNeverArrives) {
+  // A frame the link's fault schedule eats is never queued for delivery, so
+  // the messages around it still arrive intact and in order.
+  net::LinkFaultSchedule faults;
+  faults.add_outage(sim::SimTime::milliseconds(1), sim::SimTime::milliseconds(2));
+  link.forward().set_fault_schedule(&faults);
+  std::vector<std::uint32_t> xids;
+  channel.set_controller_handler(
+      [&](const OfMessage& m, std::size_t) { xids.push_back(message_xid(m)); });
+  channel.send_from_switch(EchoRequest{1});
+  sim.run_until(sim::SimTime::microseconds(1500));
+  channel.send_from_switch(EchoRequest{2});  // dies in the outage
+  sim.run_until(sim::SimTime::milliseconds(3));
+  channel.send_from_switch(EchoRequest{3});
+  sim.run();
+  EXPECT_EQ(xids, (std::vector<std::uint32_t>{1, 3}));
+  EXPECT_EQ(link.forward().fault_drops(), 1u);
+}
+
+TEST_F(ChannelFixture, DuplicateDeliversAnEqualCopy) {
+  FaultProfile profile;
+  profile.duplicate_to_switch = 1.0;
+  profile.max_extra_delay = sim::SimTime::microseconds(50);
+  channel.set_fault_profile(profile, 3);
+  std::vector<OfMessage> received;
+  channel.set_switch_handler([&](OfMessage& m, std::size_t) { received.push_back(std::move(m)); });
+  FlowMod fm;
+  fm.xid = 12;
+  fm.actions = output_to(4);
+  channel.send_from_controller(fm);
+  channel.send_from_controller(PacketOut{13, 1, 2, output_to(5), {}});
+  sim.run();
+  ASSERT_EQ(received.size(), 4u);
+  EXPECT_EQ(received[0], OfMessage{fm});
+  EXPECT_EQ(received[1], OfMessage{fm});
+  EXPECT_EQ(message_xid(received[2]), 13u);
+  EXPECT_EQ(message_xid(received[3]), 13u);
 }
 
 TEST_F(ChannelFixture, XidsAreUnique) {

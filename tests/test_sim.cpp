@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -408,6 +409,23 @@ TEST(CpuServer, CompletionCallbackSubmissionQueuesFairly) {
   server.submit(SimTime::milliseconds(1), [&]() { order.push_back(1); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(CpuServer, JobsAreMoveOnlyAndRunOncePerCore) {
+  Simulator sim;
+  CpuServer server{sim, "cpu", 2};
+  std::vector<int> done;
+  // Move-only captures ride the job; three jobs on two cores: the third
+  // waits for the first free core and reuses its slot.
+  for (int i = 0; i < 3; ++i) {
+    server.submit(SimTime::milliseconds(1 + i),
+                  [&done, owned = std::make_unique<int>(i)]() { done.push_back(*owned); });
+  }
+  sim.run();
+  EXPECT_EQ(done, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sim.now(), SimTime::milliseconds(4));  // job 2 starts at 1 ms, takes 3 ms
+  EXPECT_EQ(server.jobs_completed(), 3u);
+  EXPECT_EQ(server.busy_time(), SimTime::milliseconds(6));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Unit tests for the util library: byte order, RNG determinism and
-// distribution sanity, statistics, CSV/table output, CLI parsing, strings.
+// distribution sanity, statistics, CSV/table output, CLI parsing, strings,
+// and the small containers (SmallFunction, SmallVector, RingQueue).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,8 +13,10 @@
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/logging.hpp"
+#include "util/ring_queue.hpp"
 #include "util/rng.hpp"
 #include "util/small_function.hpp"
+#include "util/small_vector.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 
@@ -316,6 +319,64 @@ TEST(SmallFunction, HoldsMoveOnlyCallable) {
   EXPECT_EQ(f(), 7);
   SmallFunction<int()> g(std::move(f));
   EXPECT_EQ(g(), 7);
+}
+
+TEST(SmallVector, KeepsShortListsInline) {
+  SmallVector<int, 2> v{1, 2};
+  EXPECT_TRUE(v.is_inline());
+  EXPECT_EQ(v.size(), 2u);
+  SmallVector<int, 2> copy = v;
+  EXPECT_TRUE(copy.is_inline());
+  EXPECT_EQ(copy, v);
+  copy[1] = 5;
+  EXPECT_EQ(v[1], 2);  // a copy shares nothing
+  EXPECT_FALSE(copy == v);
+}
+
+TEST(SmallVector, GrowsOntoTheHeapPastInlineCapacity) {
+  SmallVector<int, 2> v;
+  for (int i = 0; i < 9; ++i) v.push_back(i);
+  EXPECT_FALSE(v.is_inline());
+  ASSERT_EQ(v.size(), 9u);
+  for (int i = 0; i < 9; ++i) EXPECT_EQ(v[i], i);
+  EXPECT_EQ(v.front(), 0);
+  EXPECT_EQ(v.back(), 8);
+  // Pushing an element of the vector itself survives the regrow it causes.
+  SmallVector<int, 2> w{7, 8};
+  w.push_back(w.front());
+  EXPECT_EQ(w, (SmallVector<int, 2>{7, 8, 7}));
+}
+
+TEST(SmallVector, MoveStealsTheHeapBlockAndEmptiesTheSource) {
+  SmallVector<int, 2> big{1, 2, 3, 4};
+  const int* block = big.data();
+  SmallVector<int, 2> moved = std::move(big);
+  EXPECT_EQ(moved.data(), block);
+  EXPECT_TRUE(big.empty());  // NOLINT(bugprone-use-after-move): asserting moved-from state
+  EXPECT_TRUE(big.is_inline());
+  SmallVector<int, 2> small{5};
+  small = std::move(moved);
+  EXPECT_EQ(small, (SmallVector<int, 2>{1, 2, 3, 4}));
+  small = SmallVector<int, 2>{6};
+  EXPECT_TRUE(small.is_inline());
+  EXPECT_EQ(small.size(), 1u);
+  small.clear();
+  EXPECT_TRUE(small.empty());
+}
+
+TEST(RingQueue, IsFifoAcrossGrowthAndWrapAround) {
+  RingQueue<std::unique_ptr<int>> q;
+  EXPECT_TRUE(q.empty());
+  int next_in = 0;
+  int next_out = 0;
+  // Interleave pushes and pops so the head wraps before each regrow.
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 3 + 2 * round; ++i) q.push_back(std::make_unique<int>(next_in++));
+    for (int i = 0; i < 2 + round; ++i) EXPECT_EQ(*q.pop_front(), next_out++);
+  }
+  EXPECT_EQ(q.size(), static_cast<std::size_t>(next_in - next_out));
+  while (!q.empty()) EXPECT_EQ(*q.pop_front(), next_out++);
+  EXPECT_EQ(next_out, next_in);
 }
 
 TEST(SmallFunction, ResetReleasesTheCallable) {

@@ -164,6 +164,30 @@ TEST(InvariantRegistry, DetectsCaptureTimeRegression) {
   EXPECT_TRUE(has_violation(reg, "capture-time-regression")) << reg.report();
 }
 
+TEST(InvariantRegistry, DetectsMessageTheCodecCannotCarry) {
+  verify::InvariantRegistry reg;
+  // A NUL inside a port name ends the name on the wire: the decoded message
+  // differs, and no channel could deliver what was sent.
+  of::PortStatus status;
+  status.desc.port_no = 2;
+  status.desc.name = std::string("et\0h2", 5);
+  reg.on_control_message(true, status, ms(1));
+  EXPECT_TRUE(has_violation(reg, "codec-roundtrip")) << reg.report();
+}
+
+TEST(InvariantRegistry, AcceptsPortNameCutToWireWidth) {
+  verify::InvariantRegistry reg;
+  of::FeaturesReply features;
+  features.ports.resize(2);
+  features.ports[0].name = "a-port-name-longer-than-fifteen";
+  features.ports[1].name = "eth1";
+  reg.on_control_message(true, features, ms(1));
+  of::PortStatus status;
+  status.desc.name = "another-long-port-name";
+  reg.on_control_message(true, status, ms(2));
+  EXPECT_TRUE(reg.ok()) << reg.report();
+}
+
 // End-to-end: a healthy experiment run under every mechanism produces a
 // non-trivial event stream and zero violations.
 TEST(InvariantRegistryEndToEnd, CleanRunSatisfiesEveryInvariant) {
