@@ -9,9 +9,12 @@
 //               (depth 4) and 1-in-16 sampling into the flow monitor
 //               (DESIGN.md §15)
 //
-// The overheads are printed, not gated: the exit code is 0 whatever they
-// read. Exact work budgets (the work ledger in ROADMAP.md) are to become
-// the gate. The scheduler, E1 throughput and sweep-speedup numbers live in
+// The overheads are printed, not gated. What is gated is the
+// no-perturbation contract (DESIGN.md §10.1): every e1_obs and e1_prof run
+// must produce a result identical, field by field and sample by sample, to
+// the obs-off run of the same seed, or the program exits 1. Telemetry
+// changes the simulated run (vendor messages, CPU costs), so e1_telem is
+// exempt. The scheduler, E1 throughput and sweep-speedup numbers live in
 // perfbench; sweep bit-identity is checked by test_parallel_sweep.
 //
 // Usage: bench_obs_overhead [--e1-runs N]   (N >= 10 interleaved pairs)
@@ -19,7 +22,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <utility>
 
@@ -54,6 +56,7 @@ struct Overhead {
   double min_on_s = 0.0;   // best layer-on run
   double overhead_pct = 0.0;
   bool converged = false;         // both minima stalled before the run cap
+  int perturbed = 0;              // layer-on runs whose result differs from layer-off
   core::ExperimentResult best_on;  // the result of the best layer-on run
 };
 
@@ -72,9 +75,10 @@ struct Overhead {
 // converged=false).
 //
 // `run_on(config)` attaches the layer to `config`, runs it and returns the
-// wall seconds of run_experiment alone plus its result.
+// wall seconds of run_experiment alone plus its result. With `must_match`,
+// each layer-on result is compared with the same-seed layer-off result.
 template <typename RunOn>
-Overhead interleave(int min_runs, RunOn run_on) {
+Overhead interleave(const char* name, int min_runs, bool must_match, RunOn run_on) {
   constexpr int kStallRuns = 8;
   const int max_runs = min_runs * 5;
   Overhead o;
@@ -85,12 +89,17 @@ Overhead interleave(int min_runs, RunOn run_on) {
   for (; i < max_runs && (i < min_runs || stall < kStallRuns); ++i) {
     const core::ExperimentConfig config = e1_config(static_cast<std::uint64_t>(i + 1));
     const auto t0 = std::chrono::steady_clock::now();
-    (void)core::run_experiment(config);
+    const core::ExperimentResult off = core::run_experiment(config);
     const double off_s = seconds_since(t0);
     bool improved = off_s < min_off * 0.99;
     min_off = std::min(min_off, off_s);
 
     auto [on_s, result] = run_on(config);
+    if (must_match && !(result == off)) {
+      ++o.perturbed;
+      std::fprintf(stderr, "%s: seed %llu: the layer changed the simulated result\n", name,
+                   static_cast<unsigned long long>(config.seed));
+    }
     if (on_s < min_on * 0.99) improved = true;
     if (on_s < min_on) {
       min_on = on_s;
@@ -112,19 +121,19 @@ std::pair<double, core::ExperimentResult> timed_run(const core::ExperimentConfig
   return {seconds_since(t0), std::move(result)};
 }
 
-// Metrics + tracing (and optionally the profiler). OBS_NO_METRICS /
-// OBS_NO_TRACER in the environment drop one layer so a regression can be
-// attributed without a rebuild.
-void probe_obs(const char* name, int min_runs, bool with_profiler) {
+// Metrics + tracing (and optionally the profiler). Returns the number of
+// runs the layers perturbed (0 when the contract holds).
+int probe_obs(const char* name, int min_runs, bool with_profiler) {
   std::uint64_t trace_events = 0;
   std::uint64_t snapshots = 0;
-  const Overhead o = interleave(min_runs, [&](core::ExperimentConfig config) {
+  const Overhead o = interleave(name, min_runs, /*must_match=*/true,
+                                [&](core::ExperimentConfig config) {
     obs::MetricsRegistry registry;
     obs::TraceWriter writer;
     obs::FlowTracer tracer{writer, config.seed, 16};
     obs::EventLoopProfiler profiler;
-    if (std::getenv("OBS_NO_METRICS") == nullptr) config.metrics = &registry;
-    if (std::getenv("OBS_NO_TRACER") == nullptr) config.tracer = &tracer;
+    config.metrics = &registry;
+    config.tracer = &tracer;
     if (with_profiler) config.profiler = &profiler;
     auto run = timed_run(config);
     trace_events += writer.event_count();
@@ -135,27 +144,24 @@ void probe_obs(const char* name, int min_runs, bool with_profiler) {
       o.min_on_s > 0.0 ? static_cast<double>(o.best_on.packets_delivered) / o.min_on_s : 0.0;
   std::printf(
       "%-10s: min run off %.4f s / on %.4f s -> %.0f packets/sec  overhead %.1f%%  "
-      "(%d runs%s, %llu trace events, %llu snapshots)\n",
+      "(%d runs%s, %llu trace events, %llu snapshots, %d perturbed)\n",
       name, o.min_off_s, o.min_on_s, packets_per_sec, o.overhead_pct, o.runs,
       o.converged ? "" : ", not converged", static_cast<unsigned long long>(trace_events),
-      static_cast<unsigned long long>(snapshots));
+      static_cast<unsigned long long>(snapshots), o.perturbed);
+  return o.perturbed;
 }
 
 // The telemetry plane. Unlike the passive obs layer, telemetry-on changes
 // the simulated run (vendor messages, CPU costs); the probe measures the
-// wall-clock cost of the machinery. TELEM_NO_OBSERVATORY / TELEM_NO_INT /
-// TELEM_NO_SAMPLING drop one layer to attribute a regression.
+// wall-clock cost of the machinery only.
 void probe_telemetry(int min_runs) {
-  const Overhead o = interleave(min_runs, [](core::ExperimentConfig config) {
+  const Overhead o = interleave("e1_telem", min_runs, /*must_match=*/false,
+                                [](core::ExperimentConfig config) {
     obs::FabricObservatory observatory;
-    if (std::getenv("TELEM_NO_OBSERVATORY") == nullptr) config.testbed.observatory = &observatory;
-    if (std::getenv("TELEM_NO_INT") == nullptr) {
-      config.testbed.switch_config.telemetry_int_depth = 4;
-    }
-    if (std::getenv("TELEM_NO_SAMPLING") == nullptr) {
-      config.testbed.switch_config.telemetry_sample_period = 16;
-      config.testbed.controller_config.flow_monitor_enabled = true;
-    }
+    config.testbed.observatory = &observatory;
+    config.testbed.switch_config.telemetry_int_depth = 4;
+    config.testbed.switch_config.telemetry_sample_period = 16;
+    config.testbed.controller_config.flow_monitor_enabled = true;
     return timed_run(config);
   });
   std::printf(
@@ -177,8 +183,12 @@ int main(int argc, char** argv) {
   }
   const int min_runs = std::max(10, static_cast<int>(flags.get_int("e1-runs", 10)));
 
-  probe_obs("e1_obs", min_runs, /*with_profiler=*/false);
-  probe_obs("e1_prof", min_runs, /*with_profiler=*/true);
+  const int perturbed = probe_obs("e1_obs", min_runs, /*with_profiler=*/false) +
+                        probe_obs("e1_prof", min_runs, /*with_profiler=*/true);
   probe_telemetry(min_runs);
+  if (perturbed != 0) {
+    std::fprintf(stderr, "FAIL: %d obs-on runs differ from their obs-off twins\n", perturbed);
+    return 1;
+  }
   return 0;
 }

@@ -75,7 +75,7 @@ Result run_scenario(sw::BufferMode mode, std::size_t table_capacity, std::uint32
     net::Packet p = net::make_udp_packet(bed.host1_mac(), bed.host2_mac(),
                                          net::Ipv4Address{0x0a016400u + f}, bed.host2_ip(),
                                          static_cast<std::uint16_t>(30000 + f), 9, 200);
-    p.flow_id = metrics::kUntrackedFlow;
+    p.flow_id = net::kUntrackedFlow;
     bed.inject_from_host1(p);
     bed.sim().run_until(bed.sim().now() + sim::SimTime::milliseconds(2));
   }

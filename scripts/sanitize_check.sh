@@ -38,7 +38,8 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L model
 # profiler attached, and again with the telemetry plane on, so the whole
 # instrumentation hot path (histogram record, span open/close, profiler
 # rows, INT stamping, the fate ledger) gets an ASan/UBSan run. Timings are
-# meaningless under sanitizers; only the clean exit matters.
+# meaningless under sanitizers; the exit code is not: it is 1 when any
+# obs-on run's result differs from its same-seed obs-off run.
 "$BUILD_DIR/bench/bench_obs_overhead"
 
 "$BUILD_DIR/tests/fuzz_scenarios" --runs "$FUZZ_RUNS" --seed "$FUZZ_SEED"

@@ -149,8 +149,7 @@ void Controller::set_invariant_observer_for(std::uint64_t datapath_id,
 
 verify::InvariantObserver* Controller::observer_for(std::uint64_t datapath_id) {
   const auto it = switches_.find(datapath_id);
-  if (it != switches_.end() && it->second.observer != nullptr) return it->second.observer;
-  return observer_;
+  return it == switches_.end() ? nullptr : it->second.observer;
 }
 
 void Controller::enable_flow_monitor(const FlowMonitorConfig& config) {

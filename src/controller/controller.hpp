@@ -202,13 +202,9 @@ class Controller {
     outstanding_stats_.clear();
   }
 
-  // Invariant-checking observer (owned by the caller; may be null). Reports
-  // fault-injected packet_in drops so conservation accounting stays closed.
-  void set_invariant_observer(verify::InvariantObserver* observer) { observer_ = observer; }
-
-  // Per-switch observer override for fabrics running one registry per
-  // switch: events for `datapath_id` route here, others fall back to the
-  // global observer.
+  // The observation stream of switch `datapath_id` (owned by the caller; may
+  // be null). Reports fault-injected and undecodable packet_in drops so
+  // conservation accounting stays closed.
   void set_invariant_observer_for(std::uint64_t datapath_id, verify::InvariantObserver* observer);
 
   // Metrics instruments (default-null bundle = disabled).
@@ -228,7 +224,7 @@ class Controller {
   struct SwitchBinding {
     of::Channel* channel = nullptr;
     std::map<net::MacAddress, std::uint16_t> mac_table;
-    verify::InvariantObserver* observer = nullptr;  // per-switch override
+    verify::InvariantObserver* observer = nullptr;
   };
 
   // One step of a full-path install: which switch gets the rule, and the
@@ -313,7 +309,6 @@ class Controller {
   std::uint64_t next_rule_seq_ = 0;
   std::vector<std::size_t> rules_per_link_;  // installed_rules_ per link, grown on demand
   ControllerCounters counters_;
-  verify::InvariantObserver* observer_ = nullptr;
   obs::ControllerInstruments instr_;
   std::unique_ptr<FlowMonitor> monitor_;
   // Stats requests awaiting a reply, keyed (datapath_id, xid). Replies erase

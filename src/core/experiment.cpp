@@ -68,9 +68,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   tb.seed = config.seed;
   tb.switch_config.buffer_mode = config.mode;
   tb.switch_config.buffer_capacity = config.buffer_capacity;
-  Runner runner{config, config.tracer, config.capture};
-  tb.observer = runner.observer(tb.observer);
+  tb.observers.subscribe(config.tracer);
   Testbed bed{tb};
+  Runner runner{config, config.tracer, config.capture};
 
   host::TrafficConfig traffic;
   traffic.rate_mbps = config.rate_mbps;

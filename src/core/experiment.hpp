@@ -29,18 +29,17 @@ struct ExperimentConfig : RunOptions {
 
   std::uint64_t seed = 1;
 
-  // Platform (cost models, link speeds, chain length, invariant observer,
-  // telemetry observatory); mode, buffer_capacity and seed above override
-  // the corresponding testbed fields. An invariant observer sees the
-  // warm-up too; call finalize() on the registry after run_experiment
-  // returns.
+  // Platform (cost models, link speeds, chain length, observers, telemetry
+  // observatory); mode, buffer_capacity and seed above override the
+  // corresponding testbed fields. Observers see the warm-up too; call
+  // finalize() on a registry after run_experiment returns.
   TestbedConfig testbed;
 
   // Optional control-channel capture, attached before warm-up so two
   // same-seed runs produce byte-identical traces end to end.
   of::ChannelCapture* capture = nullptr;
-  // Flow-lifecycle tracer, teed with testbed.observer when both are
-  // present. run_experiment calls finalize() on it after the drain.
+  // Flow-lifecycle tracer, subscribed to switch 0 after testbed.observers.
+  // run_experiment calls finalize() on it after the drain.
   obs::FlowTracer* tracer = nullptr;
 };
 
@@ -115,6 +114,9 @@ struct ExperimentResult {
   std::uint64_t flows_complete = 0;
   double duration_s = 0.0;
   bool drained = false;  // every injected packet was delivered
+
+  // Field-by-field, doubles exact: the no-perturbation check (DESIGN.md §10.1).
+  friend bool operator==(const ExperimentResult&, const ExperimentResult&) = default;
 };
 
 // Builds the testbed, warms it up, runs the workload to completion (or the

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "metrics/delay_recorder.hpp"
 #include "util/check.hpp"
 
 namespace sdnbuf::core {
@@ -21,10 +20,10 @@ const char* fabric_routing_name(FabricRouting routing) {
 FabricTestbed::FabricTestbed(FabricConfig config)
     : topo_(std::move(config.topology)),
       routing_(config.routing),
-      chain_(std::move(config.observers)) {
+      fan_outs_(std::move(config.subscribers)) {
   topo_.validate();
-  SDNBUF_CHECK_MSG(chain_.empty() || chain_.size() == topo_.n_switches(),
-                   "observers must be empty or one per switch");
+  SDNBUF_CHECK_MSG(fan_outs_.empty() || fan_outs_.size() == topo_.n_switches(),
+                   "subscribers must be empty or one list per switch");
 
   sinks_.reserve(topo_.n_hosts());
   for (unsigned h = 0; h < topo_.n_hosts(); ++h) sinks_.emplace_back(sim_);
@@ -57,39 +56,25 @@ FabricTestbed::FabricTestbed(FabricConfig config)
     controller_->connect(*channels_[i], i + 1);
   }
 
-  // Observer chains: per switch, the invariant registry (if any) teed with a
-  // FateObserver adapter into the shared observatory (if any). The
-  // observatory's global ledger takes endpoint events only, so the adapters
-  // ignore injections (cross-switch handoffs re-inject per switch);
-  // inject_from_host and the sink telemetry taps feed the ledger directly.
+  // Subscribers: the caller's, then with telemetry on a fate adapter into
+  // the shared observatory on every switch. The observatory's ledger takes
+  // endpoint events only, so the adapters ignore injections and deliveries
+  // (cross-switch handoffs re-inject per switch); inject_from_host and the
+  // host deliveries feed the ledger directly.
   observatory_ = config.observatory;
   if (observatory_ != nullptr) {
-    chain_.resize(topo_.n_switches(), nullptr);
+    fan_outs_.resize(topo_.n_switches());
+    fate_adapters_.reserve(topo_.n_switches());
     for (unsigned i = 0; i < topo_.n_switches(); ++i) {
-      fate_adapters_.push_back(
-          std::make_unique<obs::FateObserver>(*observatory_, topo_.name(topo_.switch_id(i))));
-      if (chain_[i] != nullptr) {
-        fate_tees_.push_back(
-            std::make_unique<obs::TeeObserver>(chain_[i], fate_adapters_.back().get()));
-        chain_[i] = fate_tees_.back().get();
-      } else {
-        chain_[i] = fate_adapters_.back().get();
-      }
+      fan_outs_[i].subscribe(
+          &fate_adapters_.emplace_back(*observatory_, topo_.name(topo_.switch_id(i))));
     }
   }
 
   wire_ports();
 
-  if (observatory_ != nullptr) {
-    for (unsigned h = 0; h < topo_.n_hosts(); ++h) {
-      sinks_[h].set_telemetry_tap([obsy = observatory_](const net::Packet& p, sim::SimTime now) {
-        obsy->on_delivered(p, now);
-      });
-    }
-  }
-
-  for (unsigned i = 0; i < chain_.size(); ++i) {
-    verify::InvariantObserver* obs = chain_[i];
+  for (unsigned i = 0; i < fan_outs_.size(); ++i) {
+    verify::InvariantObserver* obs = observer_at(i);
     if (obs == nullptr) continue;
     switches_[i]->set_invariant_observer(obs);
     controller_->set_invariant_observer_for(i + 1, obs);
@@ -179,20 +164,22 @@ void FabricTestbed::wire_ports() {
         const unsigned hi = topo_.index_of(adj.peer);
         switches_[si]->attach_port(adj.port, egress, [this, si, hi](const net::Packet& p) {
           if (auto* obs = observer_at(si)) obs->on_packet_delivered(p, sim_.now());
-          if (p.flow_id != metrics::kUntrackedFlow) {
+          if (p.flow_id != net::kUntrackedFlow) {
             delivered_.emplace_back(p.flow_id, p.seq_in_flow);
             if (p.seq_in_flow == 0) first_packet_ms_.add((sim_.now() - p.created_at).ms());
           }
-          sinks_[hi].receive(p);
+          if (sinks_[hi].receive(p) && observatory_ != nullptr) {
+            observatory_->on_delivered(p, sim_.now());
+          }
         });
       } else {
         const unsigned pi = topo_.index_of(adj.peer);
         const std::uint16_t peer_port = adj.peer_port;
         switches_[si]->attach_port(adj.port, egress,
                                    [this, si, pi, peer_port](const net::Packet& p) {
-          // Cross-switch handoff: the sender's registry closes its account,
-          // the receiver's opens one (the observatory's fate adapters ignore
-          // both — its ledger is endpoint-to-endpoint).
+          // Cross-switch handoff: the sender's stream closes its account, the
+          // receiver's opens one (the observatory's fate adapters ignore both
+          // — its ledger is endpoint-to-endpoint).
           if (auto* obs = observer_at(si)) obs->on_packet_delivered(p, sim_.now());
           if (auto* obs = observer_at(pi)) obs->on_packet_injected(p, sim_.now());
           switches_[pi]->receive(peer_port, p);

@@ -13,11 +13,16 @@
 // misses per hop (the paper's reactive model multiplied across the path) or
 // pre-install the whole path on the first packet_in of a flow.
 //
-// Per-switch observability: every switch, channel and the controller accept
-// their own `verify::InvariantObserver`, so fabric runs can keep one
-// invariant registry per switch (xids and buffer_ids are per-switch
-// namespaces and would collide in a shared registry). Packets crossing a
-// switch-to-switch link count as delivered by the sender's registry and
+// Per-switch observability: each switch has its own observation stream
+// (verify/observer.hpp), and this class is the one place that composes a
+// switch's subscribers — the caller's (an invariant registry, a flow tracer,
+// the Fig. 1 delay recorder) plus, with telemetry on, a fate adapter into
+// the shared observatory — into one `verify::ObserverFanOut`. The switch,
+// its buffers and MMU, its controller binding, its channel's verify and
+// fault taps and the injection and delivery points all report to that
+// fan-out, or straight to a lone subscriber. Registries stay per switch
+// because xids and buffer_ids are per-switch namespaces. Packets crossing a
+// switch-to-switch link count as delivered by the sender's stream and
 // injected into the receiver's, which keeps each registry's conservation
 // closed locally.
 #pragma once
@@ -31,13 +36,13 @@
 #include "net/link.hpp"
 #include "obs/fabric_observatory.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "openflow/channel.hpp"
 #include "sim/simulator.hpp"
 #include "switchd/switch.hpp"
 #include "topo/routing.hpp"
 #include "topo/topology.hpp"
 #include "util/stats.hpp"
+#include "verify/fan_out.hpp"
 #include "verify/invariants.hpp"
 
 namespace sdnbuf::core {
@@ -87,9 +92,10 @@ struct FabricConfig {
   double control_link_mbps = 1000.0;
   sim::SimTime control_link_delay = sim::SimTime::microseconds(300);
   std::uint64_t seed = 1;
-  // Per-switch invariant observers: empty (no checking) or exactly one entry
-  // per switch, indexed by switch index. Owned by the caller.
-  std::vector<verify::InvariantObserver*> observers;
+  // Per-switch subscribers, indexed by switch index: empty (none) or exactly
+  // one list per switch, called in subscription order. The observers are
+  // owned by the caller.
+  std::vector<verify::ObserverFanOut> subscribers;
   // Data-plane fault plane — both empty by default, and a fault-free
   // configuration is byte-identical to one built before the fault plane
   // existed (schedules attach after construction, arming no events).
@@ -135,6 +141,11 @@ class FabricTestbed {
   [[nodiscard]] host::HostSink& sink_at(unsigned host_index) { return sinks_.at(host_index); }
   // The telemetry observatory this fabric feeds; null when telemetry is off.
   [[nodiscard]] obs::FabricObservatory* observatory() const { return observatory_; }
+  // What switch `si`'s components report to: null without subscribers, the
+  // lone subscriber itself, or the switch's fan-out.
+  [[nodiscard]] verify::InvariantObserver* observer_at(unsigned si) {
+    return fan_outs_.empty() ? nullptr : fan_outs_[si].target();
+  }
 
   // Sums across every switch / control channel.
   [[nodiscard]] std::uint64_t total_pkt_ins() const;
@@ -172,9 +183,6 @@ class FabricTestbed {
 
  private:
   void wire_ports();
-  [[nodiscard]] verify::InvariantObserver* observer_at(unsigned si) const {
-    return chain_.empty() ? nullptr : chain_[si];
-  }
   void arm_link_faults(const std::vector<LinkFaultSpec>& faults);
   void arm_switch_crashes(const std::vector<SwitchCrashSpec>& crashes);
 
@@ -190,14 +198,12 @@ class FabricTestbed {
   std::vector<std::unique_ptr<sw::Switch>> switches_;            // switch index order
   std::vector<std::unique_ptr<net::DuplexLink>> control_links_;  // per switch
   std::vector<std::unique_ptr<of::Channel>> channels_;           // per switch
-  // Telemetry plane: per-switch fate adapters into the shared observatory,
-  // teed with the per-switch registries when both are present. chain_[i] is
-  // the observer every wiring point for switch i actually talks to; chain_
-  // is empty when neither registries nor an observatory are attached.
+  // Telemetry plane: the shared observatory and one fate adapter per switch.
   obs::FabricObservatory* observatory_ = nullptr;
-  std::vector<std::unique_ptr<obs::FateObserver>> fate_adapters_;
-  std::vector<std::unique_ptr<obs::TeeObserver>> fate_tees_;
-  std::vector<verify::InvariantObserver*> chain_;
+  std::vector<obs::FateObserver> fate_adapters_;
+  // Per-switch subscribers (empty when no switch has any). Never resized
+  // after construction: the components hold their addresses.
+  std::vector<verify::ObserverFanOut> fan_outs_;
   // Fault schedules live here because the links hold raw pointers into them.
   std::vector<std::unique_ptr<net::LinkFaultSchedule>> fault_schedules_;
   sim::SimTime last_fault_clear_;

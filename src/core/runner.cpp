@@ -1,6 +1,7 @@
 #include "core/runner.hpp"
 
 #include <algorithm>
+#include <optional>
 
 namespace sdnbuf::core {
 

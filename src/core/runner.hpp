@@ -6,7 +6,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 
 #include "core/fabric_testbed.hpp"
 #include "obs/metrics.hpp"
@@ -49,24 +48,11 @@ struct TrafficSource {
 
 class Runner {
  public:
-  // `tracer` and `capture` follow switch 0's xids and control channel; only
-  // the Fig. 1 projection passes them.
+  // `tracer` (already subscribed to switch 0) and `capture` follow switch
+  // 0's xids and control channel; only the Fig. 1 projection passes them.
   explicit Runner(const RunOptions& options, obs::FlowTracer* tracer = nullptr,
                   of::ChannelCapture* capture = nullptr)
       : options_(options), tracer_(tracer), capture_(capture) {}
-  // The testbed holds the tee's address.
-  Runner(const Runner&) = delete;
-  Runner& operator=(const Runner&) = delete;
-
-  // The observer to build the testbed with: `invariants` teed with the
-  // tracer when both are present, either alone otherwise (skipping a
-  // dispatch hop). The tee lives here, so the runner must outlive the
-  // testbed.
-  [[nodiscard]] verify::InvariantObserver* observer(verify::InvariantObserver* invariants) {
-    if (tracer_ == nullptr) return invariants;
-    if (invariants == nullptr) return tracer_;
-    return &tee_.emplace(invariants, tracer_);
-  }
 
   // Attaches capture and profiler, opens the window, installs metrics, runs
   // `source` in 20 ms slices until its stop rule holds or the deadline
@@ -78,7 +64,6 @@ class Runner {
   const RunOptions& options_;
   obs::FlowTracer* tracer_;
   of::ChannelCapture* capture_;
-  std::optional<obs::TeeObserver> tee_;
 };
 
 }  // namespace sdnbuf::core

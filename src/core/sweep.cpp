@@ -76,7 +76,7 @@ SweepResult run_sweep(const SweepConfig& config, std::string label, const Progre
   // Observer / capture / obs sinks are single shared objects; concurrent
   // cells would race on them, so those configs stay on the sequential path.
   const ExperimentConfig& b = config.base;
-  const bool shared_sinks = b.testbed.observer != nullptr || b.testbed.observatory != nullptr ||
+  const bool shared_sinks = !b.testbed.observers.empty() || b.testbed.observatory != nullptr ||
                             b.capture != nullptr || b.metrics != nullptr ||
                             b.tracer != nullptr || b.profiler != nullptr;
   const std::size_t jobs =

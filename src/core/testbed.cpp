@@ -1,5 +1,8 @@
 #include "core/testbed.hpp"
 
+#include <utility>
+#include <vector>
+
 #include "topo/topology.hpp"
 #include "util/check.hpp"
 
@@ -9,10 +12,14 @@ namespace {
 
 constexpr std::uint16_t kWarmupPort = 99;
 
-FabricConfig fabric_config(const TestbedConfig& config) {
-  SDNBUF_CHECK_MSG(config.observer == nullptr || config.n_switches == 1,
-                   "one invariant observer covers one switch; use FabricTestbed per-switch "
-                   "observers for longer chains");
+// The recorder subscribes to switch 0 after the caller's observers.
+FabricConfig fabric_config(const TestbedConfig& config, metrics::DelayRecorder& recorder) {
+  SDNBUF_CHECK_MSG(config.observers.empty() || config.n_switches == 1,
+                   "testbed observers cover one switch; use FabricTestbed per-switch "
+                   "subscribers for longer chains");
+  std::vector<verify::ObserverFanOut> subscribers(config.n_switches);
+  subscribers[0] = config.observers;
+  subscribers[0].subscribe(&recorder);
   // A sweep builds one testbed per cell; copying the Fig. 1 chain shares its
   // graph instead of rebuilding it.
   static const topo::Topology kFig1 = topo::make_chain(1);
@@ -27,9 +34,7 @@ FabricConfig fabric_config(const TestbedConfig& config) {
       .control_link_mbps = config.control_link_mbps,
       .control_link_delay = config.control_link_delay,
       .seed = config.seed,
-      .observers = config.observer != nullptr
-                       ? std::vector<verify::InvariantObserver*>{config.observer}
-                       : std::vector<verify::InvariantObserver*>{},
+      .subscribers = std::move(subscribers),
       .link_faults = {},
       .switch_crashes = {},
       .observatory = config.observatory,
@@ -39,11 +44,9 @@ FabricConfig fabric_config(const TestbedConfig& config) {
 }  // namespace
 
 Testbed::Testbed(const TestbedConfig& config)
-    : fabric_(fabric_config(config)), fault_profile_(config.fault_profile), seed_(config.seed) {
-  fabric_.switch_at(0).set_delay_recorder(&recorder_);
-  sink1().set_delay_recorder(&recorder_);
-  sink2().set_delay_recorder(&recorder_);
-}
+    : fabric_(fabric_config(config, recorder_)),
+      fault_profile_(config.fault_profile),
+      seed_(config.seed) {}
 
 void Testbed::warm_up() {
   // Host2 speaks first: its packet floods (host1 still unknown) and teaches
@@ -66,7 +69,7 @@ void Testbed::warm_up() {
       net::Packet p = net::make_udp_packet(macs[h], macs[1 - h], ips[h], ips[1 - h],
                                            static_cast<std::uint16_t>(kWarmupPort + seq++),
                                            kWarmupPort, 100);
-      p.flow_id = metrics::kUntrackedFlow;
+      p.flow_id = net::kUntrackedFlow;
       fabric_.inject_from_host(h, p);
       sim.run_until(sim.now() + sim::SimTime::milliseconds(50));
     }

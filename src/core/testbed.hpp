@@ -17,7 +17,8 @@
 // routing (safe: a chain is loop-free). This layer adds only the warm-up
 // that teaches the controller where the hosts are (in the real testbed this
 // happens via ARP/initial flooding before measurements start), the delay
-// recorder behind Fig. 5-7, and control-channel fault arming.
+// recorder behind Fig. 5-7 (a subscriber of switch 0's observation stream),
+// and control-channel fault arming.
 #pragma once
 
 #include <cstdint>
@@ -46,11 +47,11 @@ struct TestbedConfig {
   // over a clean channel; outage windows are relative to the measurement
   // start (t=0 = end of warm-up).
   of::FaultProfile fault_profile;
-  // Invariant-checking observer (owned by the caller; may be null; single-
-  // switch chains only, since xids and buffer_ids are per-switch). Wired
-  // into the switch, controller, channel, buffers, injection points and host
-  // sinks so a registry sees the complete packet/control event stream.
-  verify::InvariantObserver* observer = nullptr;
+  // Subscribers to switch 0's observation stream besides the delay recorder
+  // (an invariant registry, a flow tracer; owned by the caller; single-switch
+  // chains only, since xids and buffer_ids are per-switch). A registry sees
+  // the complete packet/control event stream of the switch.
+  verify::ObserverFanOut observers;
   // Drop-attribution ledger and INT harvest (DESIGN.md §15); null = off.
   obs::FabricObservatory* observatory = nullptr;
 };
@@ -90,7 +91,7 @@ class Testbed {
   [[nodiscard]] ctrl::Controller& controller() { return fabric_.controller(); }
   [[nodiscard]] host::HostSink& sink1() { return fabric_.sink_at(0); }
   [[nodiscard]] host::HostSink& sink2() { return fabric_.sink_at(1); }
-  // Per-flow delays, observed at switch 0 and both sinks.
+  // Per-flow delays, observed at switch 0.
   [[nodiscard]] metrics::DelayRecorder& recorder() { return recorder_; }
   // The underlying fabric (per-switch channels and links, fabric-wide sums).
   [[nodiscard]] FabricTestbed& fabric() { return fabric_; }
@@ -105,8 +106,8 @@ class Testbed {
   void stop() { fabric_.stop(); }
 
  private:
-  // Declared before the fabric so it outlives the switch and sinks that
-  // hold pointers to it.
+  // Declared before the fabric so it outlives the components that report to
+  // it.
   metrics::DelayRecorder recorder_;
   FabricTestbed fabric_;
   of::FaultProfile fault_profile_;

@@ -2,19 +2,20 @@
 
 namespace sdnbuf::host {
 
-void HostSink::receive(const net::Packet& packet) {
+bool HostSink::receive(const net::Packet& packet) {
   ++packets_received_;
   bytes_received_ += packet.frame_size;
   last_arrival_ = sim_->now();
   latency_ms_.add((sim_->now() - packet.created_at).ms());
-  if (recorder_ != nullptr) recorder_->on_packet_delivered(packet.flow_id, sim_->now());
-  if (packet.flow_id != metrics::kUntrackedFlow) {
-    auto& per_seq = seen_[packet.flow_id];
-    const bool first_copy = ++per_seq[packet.seq_in_flow] == 1;
-    if (!first_copy) ++duplicates_;
-    if (first_copy && telemetry_tap_) telemetry_tap_(packet, sim_->now());
-    if (first_copy && on_receive_) on_receive_(packet);
+  if (packet.flow_id == net::kUntrackedFlow) return false;
+  auto& per_seq = seen_[packet.flow_id];
+  const bool first_copy = ++per_seq[packet.seq_in_flow] == 1;
+  if (!first_copy) {
+    ++duplicates_;
+    return false;
   }
+  if (on_receive_) on_receive_(packet);
+  return true;
 }
 
 std::uint64_t HostSink::flow_packets(std::uint64_t flow_id) const {

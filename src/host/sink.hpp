@@ -1,13 +1,12 @@
 // The receiving host: counts deliveries, tracks per-flow completeness and
-// end-to-end latency samples, and feeds the delay recorder's
-// packets_delivered conservation counter.
+// end-to-end latency samples, and tells its caller which arrivals were a
+// tracked payload's first copy (the telemetry ledger counts only those).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
 
-#include "metrics/delay_recorder.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
@@ -18,23 +17,14 @@ class HostSink {
  public:
   explicit HostSink(sim::Simulator& sim) : sim_(&sim) {}
 
-  void set_delay_recorder(metrics::DelayRecorder* recorder) { recorder_ = recorder; }
-
   // Delivery feedback for closed-loop senders: fires on every first-copy
   // arrival of a tracked packet (duplicates from spurious retransmits are
   // counted but not re-reported).
   void set_on_receive(std::function<void(const net::Packet&)> cb) { on_receive_ = std::move(cb); }
 
-  // Telemetry harvest point: fires once per first-copy tracked delivery with
-  // the packet (including its INT hop-stamp stack) and the arrival time. A
-  // std::function rather than a FabricObservatory* keeps the host layer free
-  // of an obs-trace link dependency.
-  void set_telemetry_tap(std::function<void(const net::Packet&, sim::SimTime)> tap) {
-    telemetry_tap_ = std::move(tap);
-  }
-
   // Delivery callback (wired to the far end of the switch->host link).
-  void receive(const net::Packet& packet);
+  // Returns true when `packet` is the first copy of a tracked payload.
+  bool receive(const net::Packet& packet);
 
   [[nodiscard]] std::uint64_t packets_received() const { return packets_received_; }
   [[nodiscard]] std::uint64_t bytes_received() const { return bytes_received_; }
@@ -51,9 +41,7 @@ class HostSink {
 
  private:
   sim::Simulator* sim_;
-  metrics::DelayRecorder* recorder_ = nullptr;
   std::function<void(const net::Packet&)> on_receive_;
-  std::function<void(const net::Packet&, sim::SimTime)> telemetry_tap_;
   std::uint64_t packets_received_ = 0;
   std::uint64_t bytes_received_ = 0;
   std::uint64_t duplicates_ = 0;

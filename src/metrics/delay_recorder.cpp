@@ -2,36 +2,31 @@
 
 namespace sdnbuf::metrics {
 
-void DelayRecorder::on_first_packet_arrival(std::uint64_t flow_id, sim::SimTime t) {
-  if (flow_id == kUntrackedFlow) return;
+void DelayRecorder::on_packet_arrival(std::uint64_t flow_id, sim::SimTime now) {
+  if (flow_id == net::kUntrackedFlow) return;
   auto& r = flow(flow_id);
-  if (!r.first_arrival) r.first_arrival = t;
+  if (!r.first_arrival) r.first_arrival = now;
 }
 
-void DelayRecorder::on_packet_departure(std::uint64_t flow_id, sim::SimTime t) {
-  if (flow_id == kUntrackedFlow) return;
+void DelayRecorder::on_packet_departure(std::uint64_t flow_id, sim::SimTime now) {
+  if (flow_id == net::kUntrackedFlow) return;
   auto& r = flow(flow_id);
-  if (!r.first_departure) r.first_departure = t;
-  if (!r.last_departure || t > *r.last_departure) r.last_departure = t;
+  if (!r.first_departure) r.first_departure = now;
+  if (!r.last_departure || now > *r.last_departure) r.last_departure = now;
   ++r.packets_departed;
 }
 
-void DelayRecorder::on_packet_in_sent(std::uint64_t flow_id, sim::SimTime t) {
-  if (flow_id == kUntrackedFlow) return;
-  auto& r = flow(flow_id);
-  if (!r.pkt_in_sent) r.pkt_in_sent = t;
+void DelayRecorder::on_packet_in_sent(std::uint32_t /*xid*/, const net::Packet& packet,
+                                      std::uint32_t /*buffer_id*/, sim::SimTime now) {
+  if (packet.flow_id == net::kUntrackedFlow) return;
+  auto& r = flow(packet.flow_id);
+  if (!r.pkt_in_sent) r.pkt_in_sent = now;
 }
 
-void DelayRecorder::on_response_arrival(std::uint64_t flow_id, sim::SimTime t) {
-  if (flow_id == kUntrackedFlow) return;
+void DelayRecorder::on_response_arrival(std::uint64_t flow_id, sim::SimTime now) {
+  if (flow_id == net::kUntrackedFlow) return;
   auto& r = flow(flow_id);
-  if (!r.response_arrival) r.response_arrival = t;
-}
-
-void DelayRecorder::on_packet_delivered(std::uint64_t flow_id, sim::SimTime t) {
-  if (flow_id == kUntrackedFlow) return;
-  (void)t;
-  ++flow(flow_id).packets_delivered;
+  if (!r.response_arrival) r.response_arrival = now;
 }
 
 const DelayRecorder::FlowRecord* DelayRecorder::record(std::uint64_t flow_id) const {
@@ -50,7 +45,6 @@ DelayRecorder::Result DelayRecorder::finalize() const {
   out.forwarding_ms.reserve(flows_.size());
   for (const auto& [id, r] : flows_) {
     out.packets_departed += r.packets_departed;
-    out.packets_delivered += r.packets_delivered;
     if (!r.first_arrival || !r.first_departure) continue;
     ++out.flows_complete;
     const double setup = (*r.first_departure - *r.first_arrival).ms();

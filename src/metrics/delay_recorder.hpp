@@ -8,8 +8,9 @@
 //   flow forwarding delay first packet entering -> LAST packet of the flow
 //                         leaving the switch (§V.B.4)
 //
-// The switch calls the `on_*` hooks as events happen; `finalize` turns the
-// per-flow records into sample sets.
+// The recorder is a subscriber of the observation stream (verify/observer.hpp)
+// of the one switch it measures; `finalize` turns the per-flow records into
+// sample sets. Untracked (warm-up) flows are not recorded.
 #pragma once
 
 #include <cstdint>
@@ -18,19 +19,17 @@
 
 #include "sim/time.hpp"
 #include "util/stats.hpp"
+#include "verify/observer.hpp"
 
 namespace sdnbuf::metrics {
 
-// Flows tagged with this id (warm-up traffic) are not recorded.
-inline constexpr std::uint64_t kUntrackedFlow = ~std::uint64_t{0};
-
-class DelayRecorder {
+class DelayRecorder final : public verify::InvariantObserver {
  public:
-  void on_first_packet_arrival(std::uint64_t flow_id, sim::SimTime t);
-  void on_packet_departure(std::uint64_t flow_id, sim::SimTime t);
-  void on_packet_in_sent(std::uint64_t flow_id, sim::SimTime t);
-  void on_response_arrival(std::uint64_t flow_id, sim::SimTime t);
-  void on_packet_delivered(std::uint64_t flow_id, sim::SimTime t);
+  void on_packet_arrival(std::uint64_t flow_id, sim::SimTime now) override;
+  void on_packet_departure(std::uint64_t flow_id, sim::SimTime now) override;
+  void on_packet_in_sent(std::uint32_t xid, const net::Packet& packet, std::uint32_t buffer_id,
+                         sim::SimTime now) override;
+  void on_response_arrival(std::uint64_t flow_id, sim::SimTime now) override;
 
   struct FlowRecord {
     std::optional<sim::SimTime> first_arrival;
@@ -39,7 +38,6 @@ class DelayRecorder {
     std::optional<sim::SimTime> pkt_in_sent;
     std::optional<sim::SimTime> response_arrival;
     std::uint64_t packets_departed = 0;
-    std::uint64_t packets_delivered = 0;
   };
 
   struct Result {
@@ -50,7 +48,6 @@ class DelayRecorder {
     std::uint64_t flows_seen = 0;
     std::uint64_t flows_complete = 0;  // with both arrival and departure
     std::uint64_t packets_departed = 0;
-    std::uint64_t packets_delivered = 0;
   };
 
   // Aggregates all flow records. Flows that never completed setup are

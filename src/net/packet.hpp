@@ -21,6 +21,10 @@
 
 namespace sdnbuf::net {
 
+// `Packet::flow_id` of traffic no experiment measures (warm-up chatter):
+// observers, sinks and ledgers skip it.
+inline constexpr std::uint64_t kUntrackedFlow = ~std::uint64_t{0};
+
 // One INT-style per-hop telemetry record, appended by a switch at egress
 // when its SwitchConfig::telemetry_int_depth is non-zero. The stack rides
 // the packet's simulator metadata (not the wire) and is copied with the
@@ -55,7 +59,7 @@ struct Packet {
   std::uint32_t frame_size = 0;
 
   // --- Simulator metadata (not on the wire) ---
-  std::uint64_t flow_id = 0;    // dense experiment-assigned flow index
+  std::uint64_t flow_id = 0;    // dense experiment-assigned flow index, or kUntrackedFlow
   std::uint32_t seq_in_flow = 0;
   sim::SimTime created_at;      // when the source emitted the first bit
   std::uint16_t hops = 0;       // switches visited, against SwitchConfig::max_hops

@@ -5,14 +5,13 @@
 #include <cstring>
 #include <ostream>
 
-#include "metrics/delay_recorder.hpp"
 #include "obs/metrics.hpp"
 
 namespace sdnbuf::obs {
 
 namespace {
 
-bool tracked(std::uint64_t flow_id) { return flow_id != metrics::kUntrackedFlow; }
+bool tracked(std::uint64_t flow_id) { return flow_id != net::kUntrackedFlow; }
 
 // Fixed-point CSV/JSON number: deterministic across platforms, no
 // locale/scientific-notation surprises.
@@ -385,28 +384,10 @@ void FabricObservatory::reset() {
 
 // --- FateObserver ---
 
-void FateObserver::on_packet_injected(const net::Packet& packet, sim::SimTime now) {
-  // Endpoint injections reach the observatory from the testbed's host
-  // injection point; per-switch observers also see mid-fabric handoffs,
-  // which must not count.
-  (void)packet;
-  (void)now;
-}
-
-void FateObserver::on_packet_delivered(const net::Packet& packet, sim::SimTime now) {
-  // Deliveries reach the observatory through the host-sink tap, for the
-  // same reason.
-  (void)packet;
-  (void)now;
-}
-
 void FateObserver::on_packet_dropped(const net::Packet& packet, const char* where,
                                      sim::SimTime now) {
   obs_.on_fate(packet, classify_drop_site(where), site_, where, now);
 }
-
-void FateObserver::on_buffer_store(std::uint32_t, const net::Packet&, bool, bool, sim::SimTime) {}
-void FateObserver::on_buffer_release(std::uint32_t, const net::Packet&, sim::SimTime) {}
 
 void FateObserver::on_buffer_expire(std::uint32_t buffer_id, const net::Packet& packet,
                                     sim::SimTime now) {
@@ -414,20 +395,18 @@ void FateObserver::on_buffer_expire(std::uint32_t buffer_id, const net::Packet& 
   obs_.on_fate(packet, PacketFate::BufferExpiry, site_, "buffer-expiry", now);
 }
 
-void FateObserver::on_buffer_unit_retired(std::uint32_t, sim::SimTime) {}
-
 const FateObserver::PacketInMeta* FateObserver::find_packet_in(std::uint32_t xid) const {
   if (xid < packet_ins_base_) return nullptr;
   const std::size_t idx = xid - packet_ins_base_;
   if (idx >= packet_ins_.size()) return nullptr;
   const PacketInMeta& meta = packet_ins_[idx];
-  return meta.flow_id == metrics::kUntrackedFlow ? nullptr : &meta;
+  return meta.flow_id == net::kUntrackedFlow ? nullptr : &meta;
 }
 
 void FateObserver::on_packet_in_sent(std::uint32_t xid, const net::Packet& packet,
                                      std::uint32_t buffer_id, sim::SimTime now) {
   (void)now;
-  if (packet.flow_id == metrics::kUntrackedFlow) return;  // sentinel marks empty slots
+  if (packet.flow_id == net::kUntrackedFlow) return;  // sentinel marks empty slots
   if (packet_ins_.empty()) packet_ins_base_ = xid;
   if (xid < packet_ins_base_) return;  // defensive; switch xids are monotonic
   const std::size_t idx = xid - packet_ins_base_;
@@ -443,8 +422,6 @@ void FateObserver::on_pkt_in_dropped(std::uint32_t xid, std::uint32_t buffer_id,
   obs_.on_fate_id(meta->flow_id, meta->seq_in_flow, PacketFate::TableMissStorm, site_,
                   "pkt-in-dropped", now);
 }
-
-void FateObserver::on_control_message(bool, const of::OfMessage&, sim::SimTime) {}
 
 void FateObserver::on_channel_fault(bool to_controller, const of::OfMessage& msg,
                                     of::FaultKind kind, sim::SimTime now) {

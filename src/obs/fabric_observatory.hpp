@@ -24,9 +24,8 @@
 //     "fated" always means "terminally undelivered".
 //
 // Feed the observatory through `FateObserver` (an InvariantObserver adapter
-// one per switch) plus a host-sink delivery tap; it never hooks channels
-// itself (the single verify/fault tap slots belong to the invariant
-// registries).
+// subscribed to each switch's observer fan-out) plus the testbed's host
+// injection and first-copy delivery points; it never hooks channels itself.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +36,7 @@
 #include <utility>
 #include <vector>
 
-#include "metrics/delay_recorder.hpp"
+#include "net/packet.hpp"
 #include "util/flat_map.hpp"
 #include "verify/observer.hpp"
 
@@ -294,31 +293,23 @@ class FabricObservatory {
   mutable std::vector<net::HopStamp> stamp_log_;  // arena for pending stamps
 };
 
-// InvariantObserver adapter: forwards one component's drop/expiry/loss events
+// InvariantObserver adapter: forwards one switch's drop/expiry/loss events
 // into the observatory with a site label. Injections, deliveries and
 // mid-fabric handoffs are deliberately NOT forwarded — the ledger is
-// endpoint-to-endpoint, fed by the testbed's host injection point and the
-// host-sink tap exactly once per payload; per-switch handoffs would inflate
-// it.
+// endpoint-to-endpoint, fed by the testbed's host injection point and its
+// first-copy host deliveries exactly once per payload; per-switch handoffs
+// would inflate it.
 class FateObserver final : public verify::InvariantObserver {
  public:
   FateObserver(FabricObservatory& observatory, std::string site)
       : obs_(observatory), site_(std::move(site)) {}
 
-  void on_packet_injected(const net::Packet& packet, sim::SimTime now) override;
-  void on_packet_delivered(const net::Packet& packet, sim::SimTime now) override;
   void on_packet_dropped(const net::Packet& packet, const char* where, sim::SimTime now) override;
-  void on_buffer_store(std::uint32_t buffer_id, const net::Packet& packet, bool new_unit,
-                       bool flow_granularity, sim::SimTime now) override;
-  void on_buffer_release(std::uint32_t buffer_id, const net::Packet& packet,
-                         sim::SimTime now) override;
   void on_buffer_expire(std::uint32_t buffer_id, const net::Packet& packet,
                         sim::SimTime now) override;
-  void on_buffer_unit_retired(std::uint32_t buffer_id, sim::SimTime now) override;
   void on_packet_in_sent(std::uint32_t xid, const net::Packet& packet, std::uint32_t buffer_id,
                          sim::SimTime now) override;
   void on_pkt_in_dropped(std::uint32_t xid, std::uint32_t buffer_id, sim::SimTime now) override;
-  void on_control_message(bool to_controller, const of::OfMessage& msg, sim::SimTime now) override;
   void on_channel_fault(bool to_controller, const of::OfMessage& msg, of::FaultKind kind,
                         sim::SimTime now) override;
 
@@ -326,7 +317,7 @@ class FateObserver final : public verify::InvariantObserver {
   // packet_in metadata, for attributing controller drops and channel losses
   // of frame-carrying messages to their payload (mirrors the registry's map).
   struct PacketInMeta {
-    std::uint64_t flow_id = metrics::kUntrackedFlow;  // sentinel: slot unused
+    std::uint64_t flow_id = net::kUntrackedFlow;  // sentinel: slot unused
     std::uint32_t seq_in_flow = 0;
     std::uint32_t buffer_id = 0;
   };

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <ostream>
 
-#include "metrics/delay_recorder.hpp"
 #include "openflow/constants.hpp"
 #include "util/rng.hpp"
 
@@ -165,7 +164,7 @@ FlowTracer::FlowTracer(TraceWriter& writer, std::uint64_t seed, std::uint32_t sa
     : writer_(writer), seed_(seed), period_(sample_period == 0 ? 1 : sample_period) {}
 
 bool FlowTracer::sampled(std::uint64_t flow_id) const {
-  if (flow_id == metrics::kUntrackedFlow) return false;
+  if (flow_id == net::kUntrackedFlow) return false;
   if (period_ == 1) return true;
   return mix64(flow_id ^ seed_) % period_ == 0;
 }
@@ -329,58 +328,6 @@ void FlowTracer::finalize(sim::SimTime now) {
     writer_.end_span("buffer", "unit_resident", span, now, {TraceArg{"outcome", "unretired"}});
   }
   open_buffers_.clear();
-}
-
-void TeeObserver::on_packet_injected(const net::Packet& packet, sim::SimTime now) {
-  if (a_ != nullptr) a_->on_packet_injected(packet, now);
-  if (b_ != nullptr) b_->on_packet_injected(packet, now);
-}
-void TeeObserver::on_packet_delivered(const net::Packet& packet, sim::SimTime now) {
-  if (a_ != nullptr) a_->on_packet_delivered(packet, now);
-  if (b_ != nullptr) b_->on_packet_delivered(packet, now);
-}
-void TeeObserver::on_packet_dropped(const net::Packet& packet, const char* where,
-                                    sim::SimTime now) {
-  if (a_ != nullptr) a_->on_packet_dropped(packet, where, now);
-  if (b_ != nullptr) b_->on_packet_dropped(packet, where, now);
-}
-void TeeObserver::on_buffer_store(std::uint32_t buffer_id, const net::Packet& packet, bool new_unit,
-                                  bool flow_granularity, sim::SimTime now) {
-  if (a_ != nullptr) a_->on_buffer_store(buffer_id, packet, new_unit, flow_granularity, now);
-  if (b_ != nullptr) b_->on_buffer_store(buffer_id, packet, new_unit, flow_granularity, now);
-}
-void TeeObserver::on_buffer_release(std::uint32_t buffer_id, const net::Packet& packet,
-                                    sim::SimTime now) {
-  if (a_ != nullptr) a_->on_buffer_release(buffer_id, packet, now);
-  if (b_ != nullptr) b_->on_buffer_release(buffer_id, packet, now);
-}
-void TeeObserver::on_buffer_expire(std::uint32_t buffer_id, const net::Packet& packet,
-                                   sim::SimTime now) {
-  if (a_ != nullptr) a_->on_buffer_expire(buffer_id, packet, now);
-  if (b_ != nullptr) b_->on_buffer_expire(buffer_id, packet, now);
-}
-void TeeObserver::on_buffer_unit_retired(std::uint32_t buffer_id, sim::SimTime now) {
-  if (a_ != nullptr) a_->on_buffer_unit_retired(buffer_id, now);
-  if (b_ != nullptr) b_->on_buffer_unit_retired(buffer_id, now);
-}
-void TeeObserver::on_packet_in_sent(std::uint32_t xid, const net::Packet& packet,
-                                    std::uint32_t buffer_id, sim::SimTime now) {
-  if (a_ != nullptr) a_->on_packet_in_sent(xid, packet, buffer_id, now);
-  if (b_ != nullptr) b_->on_packet_in_sent(xid, packet, buffer_id, now);
-}
-void TeeObserver::on_pkt_in_dropped(std::uint32_t xid, std::uint32_t buffer_id, sim::SimTime now) {
-  if (a_ != nullptr) a_->on_pkt_in_dropped(xid, buffer_id, now);
-  if (b_ != nullptr) b_->on_pkt_in_dropped(xid, buffer_id, now);
-}
-void TeeObserver::on_control_message(bool to_controller, const of::OfMessage& msg,
-                                     sim::SimTime now) {
-  if (a_ != nullptr) a_->on_control_message(to_controller, msg, now);
-  if (b_ != nullptr) b_->on_control_message(to_controller, msg, now);
-}
-void TeeObserver::on_channel_fault(bool to_controller, const of::OfMessage& msg, of::FaultKind kind,
-                                   sim::SimTime now) {
-  if (a_ != nullptr) a_->on_channel_fault(to_controller, msg, kind, now);
-  if (b_ != nullptr) b_->on_channel_fault(to_controller, msg, kind, now);
 }
 
 }  // namespace sdnbuf::obs

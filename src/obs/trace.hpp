@@ -82,9 +82,8 @@ class TraceWriter {
   std::size_t ends_ = 0;
 };
 
-// Observer that renders datapath events into trace spans. Wire it into a
-// testbed either directly (ExperimentConfig::tracer) or via TeeObserver when
-// an invariant registry is also attached.
+// Observer that renders datapath events into trace spans. It subscribes to
+// switch 0 of a Fig. 1 run through ExperimentConfig::tracer.
 class FlowTracer final : public verify::InvariantObserver {
  public:
   // `sample_period`: trace every flow whose hash lands on 0 mod period
@@ -135,34 +134,6 @@ class FlowTracer final : public verify::InvariantObserver {
   std::uint64_t next_buffer_span_ = 1;
   std::uint64_t control_opened_ = 0;
   std::uint64_t control_answered_ = 0;
-};
-
-// Fans observer callbacks out to two observers (e.g. an InvariantRegistry
-// and a FlowTracer). Either side may be null.
-class TeeObserver final : public verify::InvariantObserver {
- public:
-  TeeObserver(verify::InvariantObserver* a, verify::InvariantObserver* b) : a_(a), b_(b) {}
-
-  void on_packet_injected(const net::Packet& packet, sim::SimTime now) override;
-  void on_packet_delivered(const net::Packet& packet, sim::SimTime now) override;
-  void on_packet_dropped(const net::Packet& packet, const char* where, sim::SimTime now) override;
-  void on_buffer_store(std::uint32_t buffer_id, const net::Packet& packet, bool new_unit,
-                       bool flow_granularity, sim::SimTime now) override;
-  void on_buffer_release(std::uint32_t buffer_id, const net::Packet& packet,
-                         sim::SimTime now) override;
-  void on_buffer_expire(std::uint32_t buffer_id, const net::Packet& packet,
-                        sim::SimTime now) override;
-  void on_buffer_unit_retired(std::uint32_t buffer_id, sim::SimTime now) override;
-  void on_packet_in_sent(std::uint32_t xid, const net::Packet& packet, std::uint32_t buffer_id,
-                         sim::SimTime now) override;
-  void on_pkt_in_dropped(std::uint32_t xid, std::uint32_t buffer_id, sim::SimTime now) override;
-  void on_control_message(bool to_controller, const of::OfMessage& msg, sim::SimTime now) override;
-  void on_channel_fault(bool to_controller, const of::OfMessage& msg, of::FaultKind kind,
-                        sim::SimTime now) override;
-
- private:
-  verify::InvariantObserver* a_;
-  verify::InvariantObserver* b_;
 };
 
 }  // namespace sdnbuf::obs

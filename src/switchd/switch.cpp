@@ -156,7 +156,7 @@ void Switch::receive(std::uint16_t in_port, net::Packet packet) {
     ++it->second.rx_packets;
     it->second.rx_bytes += packet.frame_size;
   }
-  if (recorder_ != nullptr) recorder_->on_first_packet_arrival(packet.flow_id, sim_.now());
+  if (observer_ != nullptr) observer_->on_packet_arrival(packet.flow_id, sim_.now());
   // Telemetry hooks, both inert (one integer compare) when disabled.
   if (config_.telemetry_int_depth != 0) packet.hop_arrived_at = sim_.now();
   if (config_.telemetry_sample_period != 0) maybe_sample(in_port, packet);
@@ -444,12 +444,11 @@ void Switch::send_packet_in(const net::Packet& packet, std::uint16_t in_port,
   ++counters_.pkt_ins_sent;
   if (observer_ != nullptr) observer_->on_packet_in_sent(msg.xid, packet, buffer_id, sim_.now());
   channel_->send_from_switch(std::move(msg));
-  if (recorder_ != nullptr) recorder_->on_packet_in_sent(packet.flow_id, sim_.now());
 }
 
 std::uint64_t Switch::flow_id_for_xid(std::uint32_t xid) const {
   const auto* pending = pending_for_xid(xid);
-  return pending == nullptr ? metrics::kUntrackedFlow : pending->flow_id;
+  return pending == nullptr ? net::kUntrackedFlow : pending->flow_id;
 }
 
 const Switch::PendingRequest* Switch::pending_for_xid(std::uint32_t xid) const {
@@ -460,14 +459,10 @@ const Switch::PendingRequest* Switch::pending_for_xid(std::uint32_t xid) const {
 void Switch::on_control_message(of::OfMessage& msg) {
   if (crashed_) return;  // a dead switch consumes nothing
   if (auto* fm = std::get_if<of::FlowMod>(&msg)) {
-    if (recorder_ != nullptr) {
-      recorder_->on_response_arrival(flow_id_for_xid(fm->xid), sim_.now());
-    }
+    if (observer_ != nullptr) observer_->on_response_arrival(flow_id_for_xid(fm->xid), sim_.now());
     handle_flow_mod(std::move(*fm));
   } else if (auto* po = std::get_if<of::PacketOut>(&msg)) {
-    if (recorder_ != nullptr) {
-      recorder_->on_response_arrival(flow_id_for_xid(po->xid), sim_.now());
-    }
+    if (observer_ != nullptr) observer_->on_response_arrival(flow_id_for_xid(po->xid), sim_.now());
     handle_packet_out(std::move(*po));
   } else if (const auto* echo = std::get_if<of::EchoRequest>(&msg)) {
     channel_->send_from_switch(of::EchoReply{echo->xid});
@@ -720,7 +715,7 @@ void Switch::enqueue_egress(Port& port, const net::Packet& packet) {
     return;
   }
   ++counters_.packets_forwarded;
-  if (recorder_ != nullptr) recorder_->on_packet_departure(packet.flow_id, sim_.now());
+  if (observer_ != nullptr) observer_->on_packet_departure(packet.flow_id, sim_.now());
   ++port.tx_packets;
   port.tx_bytes += packet.frame_size;
 }
@@ -777,7 +772,7 @@ void Switch::flood(const net::Packet& packet, std::uint16_t in_port) {
       if (observer_ != nullptr) observer_->on_packet_dropped(packet, "flood-queue", sim_.now());
       continue;
     }
-    if (recorder_ != nullptr) recorder_->on_packet_departure(packet.flow_id, sim_.now());
+    if (observer_ != nullptr) observer_->on_packet_departure(packet.flow_id, sim_.now());
     ++counters_.packets_forwarded;
     ++port.tx_packets;
     port.tx_bytes += packet.frame_size;

@@ -29,7 +29,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "metrics/delay_recorder.hpp"
 #include "net/link.hpp"
 #include "obs/instruments.hpp"
 #include "net/packet.hpp"
@@ -233,11 +232,9 @@ class Switch {
   void restart();
   [[nodiscard]] bool crashed() const { return crashed_; }
 
-  // Metrics sink (owned by the experiment); may be null.
-  void set_delay_recorder(metrics::DelayRecorder* recorder) { recorder_ = recorder; }
-
-  // Invariant-checking observer (owned by the caller; may be null). Also
-  // propagated to the buffer managers; install before traffic starts.
+  // The observation stream's target (owned by the caller; may be null): a
+  // lone subscriber or a verify::ObserverFanOut. Also propagated to the
+  // buffer managers and the MMU; install before traffic starts.
   void set_invariant_observer(verify::InvariantObserver* observer);
 
   // Metrics instruments (pointers owned by a MetricsRegistry; default-null
@@ -356,14 +353,13 @@ class Switch {
   std::unique_ptr<FlowBufferManager> flow_buffer_;
   std::unordered_map<std::uint16_t, Port> ports_;
   of::Channel* channel_ = nullptr;
-  metrics::DelayRecorder* recorder_ = nullptr;
   verify::InvariantObserver* observer_ = nullptr;
   obs::SwitchInstruments instr_;
   SwitchCounters counters_;
   // packet_in xid -> original packet metadata, for attributing responses and
   // restoring simulator metadata on no-buffer packet_out frames.
   struct PendingRequest {
-    std::uint64_t flow_id = metrics::kUntrackedFlow;
+    std::uint64_t flow_id = net::kUntrackedFlow;
     std::uint32_t seq_in_flow = 0;
     sim::SimTime created_at;
     // INT state survives the controller round trip: no-buffer packet_out

@@ -3,6 +3,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "util/small_vector.hpp"
+
 namespace sdnbuf::topo {
 
 namespace {
@@ -144,8 +146,10 @@ void Topology::validate() const {
            " links (want exactly 1)");
     }
   }
-  // Connectivity: union-find over the links (one allocation, no queue).
-  std::vector<NodeId> parent(nodes.size());
+  // Connectivity: union-find over the links (no queue; inline for graphs as
+  // small as the Fig. 1 chain, one allocation otherwise).
+  util::SmallVector<NodeId, 8> parent;
+  parent.resize(nodes.size());
   std::iota(parent.begin(), parent.end(), NodeId{0});
   const auto root = [&parent](NodeId n) {
     while (parent[n] != n) n = parent[n] = parent[parent[n]];

@@ -78,6 +78,12 @@ class SmallVector {
     return back();
   }
   void clear() { size_ = 0; }
+  // Grows or shrinks to `n` elements; new ones are value-initialized.
+  void resize(std::size_t n) {
+    if (n > capacity_) reallocate(n);
+    std::fill(data() + std::min<std::size_t>(size_, n), data() + n, T{});
+    size_ = static_cast<std::uint32_t>(n);
+  }
 
   friend bool operator==(const SmallVector& a, const SmallVector& b) {
     return std::equal(a.begin(), a.end(), b.begin(), b.end());

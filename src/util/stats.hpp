@@ -51,6 +51,9 @@ class Samples {
   [[nodiscard]] Summary summary() const;
   [[nodiscard]] const std::vector<double>& values() const { return xs_; }
 
+  // Same samples in the same order (exact doubles).
+  friend bool operator==(const Samples&, const Samples&) = default;
+
  private:
   std::vector<double> xs_;
 };

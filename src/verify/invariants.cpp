@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "metrics/delay_recorder.hpp"
-#include "openflow/channel.hpp"
 
 namespace sdnbuf::verify {
 
@@ -54,13 +52,6 @@ std::string Violation::to_string() const {
   return "[" + when.to_string() + "] " + invariant + ": " + detail;
 }
 
-void InvariantRegistry::attach(of::Channel& channel) {
-  channel.set_verify_tap([this](bool to_controller, const of::OfMessage& msg, std::size_t,
-                                sim::SimTime when) { on_control_message(to_controller, msg, when); });
-  channel.set_fault_tap([this](bool to_controller, const of::OfMessage& msg, of::FaultKind kind,
-                               sim::SimTime when) { on_channel_fault(to_controller, msg, kind, when); });
-}
-
 void InvariantRegistry::violate(sim::SimTime when, std::string invariant, std::string detail) {
   ++total_violations_;
   if (violations_.size() < kMaxRecordedViolations) {
@@ -69,7 +60,7 @@ void InvariantRegistry::violate(sim::SimTime when, std::string invariant, std::s
 }
 
 bool InvariantRegistry::tracked(const net::Packet& packet) {
-  return packet.flow_id != metrics::kUntrackedFlow;
+  return packet.flow_id != net::kUntrackedFlow;
 }
 
 InvariantRegistry::PacketAccount* InvariantRegistry::account_for(const net::Packet& packet) {
@@ -253,7 +244,7 @@ void InvariantRegistry::on_pkt_in_dropped(std::uint32_t xid, std::uint32_t buffe
   if (buffer_id != of::kNoBuffer) return;  // packet still buffered at the switch
   const auto it = packet_ins_.find(xid);
   if (it == packet_ins_.end() || !it->second.has_meta) return;  // switch hook not wired
-  if (it->second.flow_id == metrics::kUntrackedFlow) return;
+  if (it->second.flow_id == net::kUntrackedFlow) return;
   // A dropped full-frame packet_in takes its payload with it.
   ++accounts_[PayloadId{it->second.flow_id, it->second.seq_in_flow}].lost;
 }
@@ -379,7 +370,7 @@ void InvariantRegistry::on_channel_fault(bool to_controller, const of::OfMessage
   if (!carries_frame) return;
   const auto it = packet_ins_.find(xid);
   if (it == packet_ins_.end() || !it->second.has_meta) return;  // switch hook not wired
-  if (it->second.flow_id == metrics::kUntrackedFlow) return;
+  if (it->second.flow_id == net::kUntrackedFlow) return;
   auto& account = accounts_[PayloadId{it->second.flow_id, it->second.seq_in_flow}];
   if (kind == of::FaultKind::Duplicate) {
     ++account.dup_allowance;

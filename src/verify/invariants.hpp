@@ -40,10 +40,6 @@
 #include "net/flow_key.hpp"
 #include "verify/observer.hpp"
 
-namespace sdnbuf::of {
-class Channel;
-}
-
 namespace sdnbuf::verify {
 
 struct Violation {
@@ -60,10 +56,6 @@ using PayloadId = std::pair<std::uint64_t, std::uint32_t>;
 class InvariantRegistry final : public InvariantObserver {
  public:
   InvariantRegistry() = default;
-
-  // Installs this registry as `channel`'s verify tap (the ChannelCapture tap
-  // slot stays free for tcpdump-style captures).
-  void attach(of::Channel& channel);
 
   // Full-path route installation legitimately sends flow_mods that answer no
   // packet_in on this switch's channel (fresh xids, rules for flows this

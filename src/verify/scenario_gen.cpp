@@ -164,14 +164,14 @@ static void run_fabric_check(const Scenario& scenario, ScenarioOutcome& out) {
   std::array<bool, 3> drained{};
   for (std::size_t i = 0; i < 3; ++i) {
     std::vector<std::unique_ptr<InvariantRegistry>> registries;
-    std::vector<InvariantObserver*> observers;
+    std::vector<ObserverFanOut> subscribers(topology.n_switches());
     for (unsigned sw_i = 0; sw_i < topology.n_switches(); ++sw_i) {
       registries.push_back(std::make_unique<InvariantRegistry>());
       if (scenario.fabric_full_path) registries.back()->set_allow_proactive_installs(true);
       // Route repair after a flap can send a rerouted packet back through a
       // switch it already transited; that revisit is legal under link faults.
       if (scenario.has_link_faults()) registries.back()->set_allow_revisits(true);
-      observers.push_back(registries.back().get());
+      subscribers[sw_i].subscribe(registries.back().get());
     }
 
     core::FabricExperimentConfig cfg;
@@ -186,7 +186,7 @@ static void run_fabric_check(const Scenario& scenario, ScenarioOutcome& out) {
     cfg.min_packets = 1;
     cfg.max_packets = 6;
     cfg.seed = scenario.seed;
-    cfg.fabric.observers = observers;
+    cfg.fabric.subscribers = std::move(subscribers);
     obs::FabricObservatory obsy;
     if (scenario.has_telemetry()) {
       cfg.observatory = &obsy;
@@ -386,7 +386,7 @@ ScenarioOutcome run_scenario(const Scenario& scenario) {
   for (std::size_t i = 0; i < 3; ++i) {
     InvariantRegistry registry;
     core::ExperimentConfig cfg = scenario.experiment_config(kModes[i]);
-    cfg.testbed.observer = &registry;
+    cfg.testbed.observers.subscribe(&registry);
     obs::FabricObservatory obsy;
     if (scenario.has_telemetry()) cfg.testbed.observatory = &obsy;
 

@@ -402,7 +402,7 @@ TEST(FabricFaults, ConservationHoldsUnderLinkFaults) {
     registries.push_back(std::make_unique<verify::InvariantRegistry>());
     // Reroutes after a flap may revisit a switch; the ledger must still balance.
     registries.back()->set_allow_revisits(true);
-    config.fabric.observers.push_back(registries.back().get());
+    config.fabric.subscribers.emplace_back().subscribe(registries.back().get());
   }
   const auto fabric_link = first_fabric_link(config.topology);
   config.fabric.link_faults.push_back(outage_spec(fabric_link, ms(60), ms(140)));

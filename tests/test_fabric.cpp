@@ -11,6 +11,7 @@
 
 #include "core/fabric_experiment.hpp"
 #include "core/fabric_testbed.hpp"
+#include "core/testbed.hpp"
 #include "host/traffic_matrix.hpp"
 #include "obs/profiler.hpp"
 
@@ -92,17 +93,55 @@ TEST(FabricTestbed, UnroutableDestinationIsDroppedNotFlooded) {
   EXPECT_EQ(bed.controller().counters().floods, 0u);
 }
 
+// FabricTestbed composes each switch's subscribers into one target: nothing
+// without subscribers, a lone subscriber directly (no fan-out hop), the
+// switch's fan-out otherwise.
+TEST(FabricTestbed, EachSwitchReportsToOneComposedTarget) {
+  const topo::Topology topology = topo::make_leaf_spine(2, 2, 2);
+  verify::InvariantRegistry lone;
+  verify::InvariantRegistry first;
+  verify::InvariantRegistry second;
+  FabricConfig config = fabric_config(topology, FabricRouting::TopologyPerHop,
+                                      sw::BufferMode::PacketGranularity);
+  config.subscribers.resize(topology.n_switches());
+  config.subscribers[0].subscribe(&lone);
+  config.subscribers[1].subscribe(&first);
+  config.subscribers[1].subscribe(&second);
+  FabricTestbed bed{config};
+  EXPECT_EQ(bed.observer_at(0), &lone);
+  verify::InvariantObserver* fan = bed.observer_at(1);
+  EXPECT_NE(fan, nullptr);
+  EXPECT_NE(fan, &first);
+  EXPECT_NE(fan, &second);
+  for (unsigned i = 2; i < bed.n_switches(); ++i) EXPECT_EQ(bed.observer_at(i), nullptr);
+  // Host 0 (leaf 1) -> host 3 (leaf 2): both leaves see it.
+  bed.inject_from_host(0, host_packet(0, 3, 10000, 1));
+  drain(bed);
+  ASSERT_EQ(bed.total_delivered(), 1u);
+  EXPECT_GT(lone.events_observed(), 0u);
+  EXPECT_GT(first.events_observed(), 0u);
+  EXPECT_EQ(first.events_observed(), second.events_observed());
+
+  // Without subscribers nothing is wired; the Fig. 1 testbed's delay
+  // recorder is switch 0's lone subscriber.
+  FabricTestbed bare{fabric_config(topology, FabricRouting::TopologyPerHop,
+                                   sw::BufferMode::PacketGranularity)};
+  for (unsigned i = 0; i < bare.n_switches(); ++i) EXPECT_EQ(bare.observer_at(i), nullptr);
+  Testbed fig1{TestbedConfig{}};
+  EXPECT_EQ(fig1.fabric().observer_at(0), &fig1.recorder());
+}
+
 TEST(FabricTestbed, PerSwitchRegistriesStayCleanOnFatTree) {
   const topo::Topology topology = topo::make_fat_tree(4);
   std::vector<std::unique_ptr<verify::InvariantRegistry>> registries;
-  std::vector<verify::InvariantObserver*> observers;
+  std::vector<verify::ObserverFanOut> subscribers(topology.n_switches());
   for (unsigned i = 0; i < topology.n_switches(); ++i) {
     registries.push_back(std::make_unique<verify::InvariantRegistry>());
-    observers.push_back(registries.back().get());
+    subscribers[i].subscribe(registries.back().get());
   }
   FabricConfig config = fabric_config(topology, FabricRouting::TopologyPerHop,
                                       sw::BufferMode::FlowGranularity);
-  config.observers = observers;
+  config.subscribers = std::move(subscribers);
   FabricTestbed bed{config};
   // A handful of cross-pod flows.
   for (unsigned f = 0; f < 8; ++f) {
@@ -127,14 +166,14 @@ TEST(FabricTestbed, PerSwitchRegistriesSeeChannelFaults) {
   // close.
   const topo::Topology topology = topo::make_leaf_spine(2, 2, 2);
   std::vector<std::unique_ptr<verify::InvariantRegistry>> registries;
-  std::vector<verify::InvariantObserver*> observers;
+  std::vector<verify::ObserverFanOut> subscribers(topology.n_switches());
   for (unsigned i = 0; i < topology.n_switches(); ++i) {
     registries.push_back(std::make_unique<verify::InvariantRegistry>());
-    observers.push_back(registries.back().get());
+    subscribers[i].subscribe(registries.back().get());
   }
   FabricConfig config = fabric_config(topology, FabricRouting::TopologyPerHop,
                                       sw::BufferMode::PacketGranularity);
-  config.observers = observers;
+  config.subscribers = std::move(subscribers);
   FabricTestbed bed{config};
   of::FaultProfile faults;
   faults.loss_to_controller = 0.2;
@@ -166,15 +205,15 @@ TEST(FabricTestbed, PerSwitchRegistriesSeeChannelFaults) {
 TEST(FabricTestbed, FullPathNeedsProactiveAllowance) {
   const topo::Topology topology = topo::make_leaf_spine(2, 2, 2);
   std::vector<std::unique_ptr<verify::InvariantRegistry>> registries;
-  std::vector<verify::InvariantObserver*> observers;
+  std::vector<verify::ObserverFanOut> subscribers(topology.n_switches());
   for (unsigned i = 0; i < topology.n_switches(); ++i) {
     registries.push_back(std::make_unique<verify::InvariantRegistry>());
     registries.back()->set_allow_proactive_installs(true);
-    observers.push_back(registries.back().get());
+    subscribers[i].subscribe(registries.back().get());
   }
   FabricConfig config = fabric_config(topology, FabricRouting::TopologyFullPath,
                                       sw::BufferMode::PacketGranularity);
-  config.observers = observers;
+  config.subscribers = std::move(subscribers);
   FabricTestbed bed{config};
   bed.inject_from_host(0, host_packet(0, 3, 10000, 1));
   drain(bed);

@@ -310,7 +310,7 @@ TEST(ConnectionLifecycle, ResendCapExpiresFlowUnits) {
   cfg.n_flows = 2;
   cfg.packets_per_flow = 3;
   cfg.seed = 11;
-  cfg.testbed.observer = &reg;
+  cfg.testbed.observers.subscribe(&reg);
   cfg.testbed.fault_profile.loss_to_controller = 1.0;
   cfg.drain_timeout = sim::SimTime::seconds(2);
   const auto r = core::run_experiment(cfg);
@@ -340,7 +340,7 @@ TEST(ConnectionLifecycle, ReconnectReconcilesStrandedBuffers) {
     // controller's response can cross back) and closes well inside the
     // 500 ms buffer expiry.
     tb.fault_profile.outages.push_back({sim::SimTime::microseconds(500), ms(200)});
-    tb.observer = &reg;
+    tb.observers.subscribe(&reg);
     core::Testbed bed{tb};
     bed.warm_up();
     const sim::SimTime t0 = bed.measurement_start();
@@ -368,7 +368,7 @@ TEST(ConnectionLifecycle, ReconnectReconcilesStrandedBuffers) {
     tb.switch_config.buffer_mode = sw::BufferMode::PacketGranularity;
     tb.switch_config.buffer_capacity = 64;
     tb.fault_profile.outages.push_back({sim::SimTime::microseconds(500), ms(200)});
-    tb.observer = &reg;
+    tb.observers.subscribe(&reg);
     core::Testbed bed{tb};
     bed.warm_up();
     const sim::SimTime t0 = bed.measurement_start();

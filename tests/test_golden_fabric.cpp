@@ -207,7 +207,7 @@ TEST(GoldenFabric, PerSwitchInvariantsMetricsAndTimeline) {
   std::vector<std::unique_ptr<verify::InvariantRegistry>> registries;
   for (unsigned i = 0; i < c.topology.n_switches(); ++i) {
     registries.push_back(std::make_unique<verify::InvariantRegistry>());
-    c.fabric.observers.push_back(registries.back().get());
+    c.fabric.subscribers.emplace_back().subscribe(registries.back().get());
   }
   obs::MetricsRegistry metrics;
   c.metrics = &metrics;
@@ -273,7 +273,7 @@ TEST(GoldenFig1, InvariantsTracerAndMetrics) {
   obs::MetricsRegistry metrics;
   core::ExperimentConfig c = e1_config(sw::BufferMode::PacketGranularity, 16);
   c.rate_mbps = 90.0;
-  c.testbed.observer = &registry;
+  c.testbed.observers.subscribe(&registry);
   c.tracer = &tracer;
   c.metrics = &metrics;
   const auto r = core::run_experiment(c);

@@ -10,6 +10,13 @@ namespace {
 
 using sim::SimTime;
 
+// The switch reports a packet_in with the packet that missed.
+void packet_in_sent(DelayRecorder& rec, std::uint64_t flow_id, SimTime now) {
+  net::Packet packet;
+  packet.flow_id = flow_id;
+  rec.on_packet_in_sent(/*xid=*/1, packet, /*buffer_id=*/0, now);
+}
+
 TEST(Occupancy, TracksCurrentAndMax) {
   OccupancyTracker occ{SimTime::zero()};
   occ.increment(SimTime::milliseconds(1));
@@ -53,7 +60,7 @@ TEST(Occupancy, ZeroWindowMeanIsCurrent) {
 TEST(DelayRecorder, SetupDelayDefinition) {
   DelayRecorder rec;
   // Flow setup delay: first packet in -> that (first) packet out.
-  rec.on_first_packet_arrival(1, SimTime::milliseconds(10));
+  rec.on_packet_arrival(1, SimTime::milliseconds(10));
   rec.on_packet_departure(1, SimTime::milliseconds(13));
   rec.on_packet_departure(1, SimTime::milliseconds(20));
   const auto result = rec.finalize();
@@ -66,8 +73,8 @@ TEST(DelayRecorder, SetupDelayDefinition) {
 
 TEST(DelayRecorder, ControllerAndSwitchDelaySplit) {
   DelayRecorder rec;
-  rec.on_first_packet_arrival(1, SimTime::milliseconds(0));
-  rec.on_packet_in_sent(1, SimTime::milliseconds(1));
+  rec.on_packet_arrival(1, SimTime::milliseconds(0));
+  packet_in_sent(rec, 1, SimTime::milliseconds(1));
   rec.on_response_arrival(1, SimTime::milliseconds(2));
   rec.on_packet_departure(1, SimTime::milliseconds(5));
   const auto result = rec.finalize();
@@ -79,10 +86,10 @@ TEST(DelayRecorder, ControllerAndSwitchDelaySplit) {
 
 TEST(DelayRecorder, OnlyFirstEventsCount) {
   DelayRecorder rec;
-  rec.on_first_packet_arrival(1, SimTime::milliseconds(0));
-  rec.on_first_packet_arrival(1, SimTime::milliseconds(100));  // ignored
-  rec.on_packet_in_sent(1, SimTime::milliseconds(1));
-  rec.on_packet_in_sent(1, SimTime::milliseconds(50));  // retransmission: ignored
+  rec.on_packet_arrival(1, SimTime::milliseconds(0));
+  rec.on_packet_arrival(1, SimTime::milliseconds(100));  // ignored
+  packet_in_sent(rec, 1, SimTime::milliseconds(1));
+  packet_in_sent(rec, 1, SimTime::milliseconds(50));  // retransmission: ignored
   rec.on_response_arrival(1, SimTime::milliseconds(2));
   rec.on_response_arrival(1, SimTime::milliseconds(60));  // second response: ignored
   rec.on_packet_departure(1, SimTime::milliseconds(3));
@@ -93,9 +100,10 @@ TEST(DelayRecorder, OnlyFirstEventsCount) {
 
 TEST(DelayRecorder, UntrackedFlowIgnored) {
   DelayRecorder rec;
-  rec.on_first_packet_arrival(kUntrackedFlow, SimTime::zero());
-  rec.on_packet_departure(kUntrackedFlow, SimTime::milliseconds(1));
-  rec.on_packet_delivered(kUntrackedFlow, SimTime::milliseconds(1));
+  rec.on_packet_arrival(net::kUntrackedFlow, SimTime::zero());
+  packet_in_sent(rec, net::kUntrackedFlow, SimTime::zero());
+  rec.on_response_arrival(net::kUntrackedFlow, SimTime::milliseconds(1));
+  rec.on_packet_departure(net::kUntrackedFlow, SimTime::milliseconds(1));
   const auto result = rec.finalize();
   EXPECT_EQ(result.flows_seen, 0u);
   EXPECT_EQ(result.packets_departed, 0u);
@@ -103,7 +111,7 @@ TEST(DelayRecorder, UntrackedFlowIgnored) {
 
 TEST(DelayRecorder, IncompleteFlowsProduceNoSamples) {
   DelayRecorder rec;
-  rec.on_first_packet_arrival(1, SimTime::zero());  // never departs
+  rec.on_packet_arrival(1, SimTime::zero());  // never departs
   rec.on_packet_departure(2, SimTime::zero());       // never arrived (shouldn't happen)
   const auto result = rec.finalize();
   EXPECT_EQ(result.flows_seen, 2u);
@@ -114,7 +122,7 @@ TEST(DelayRecorder, IncompleteFlowsProduceNoSamples) {
 TEST(DelayRecorder, MultipleFlowsAggregate) {
   DelayRecorder rec;
   for (std::uint64_t f = 0; f < 10; ++f) {
-    rec.on_first_packet_arrival(f, SimTime::milliseconds(static_cast<int>(f)));
+    rec.on_packet_arrival(f, SimTime::milliseconds(static_cast<int>(f)));
     rec.on_packet_departure(f, SimTime::milliseconds(static_cast<int>(f + 1 + f % 3)));
   }
   const auto result = rec.finalize();
@@ -127,18 +135,16 @@ TEST(DelayRecorder, MultipleFlowsAggregate) {
 
 TEST(DelayRecorder, PacketCountersAccumulate) {
   DelayRecorder rec;
-  rec.on_first_packet_arrival(1, SimTime::zero());
+  rec.on_packet_arrival(1, SimTime::zero());
   for (int i = 0; i < 5; ++i) rec.on_packet_departure(1, SimTime::milliseconds(i + 1));
-  for (int i = 0; i < 5; ++i) rec.on_packet_delivered(1, SimTime::milliseconds(i + 2));
   const auto result = rec.finalize();
   EXPECT_EQ(result.packets_departed, 5u);
-  EXPECT_EQ(result.packets_delivered, 5u);
 }
 
 TEST(DelayRecorder, RecordAccessor) {
   DelayRecorder rec;
   EXPECT_EQ(rec.record(1), nullptr);
-  rec.on_first_packet_arrival(1, SimTime::milliseconds(3));
+  rec.on_packet_arrival(1, SimTime::milliseconds(3));
   const auto* r = rec.record(1);
   ASSERT_NE(r, nullptr);
   ASSERT_TRUE(r->first_arrival.has_value());

@@ -384,7 +384,7 @@ TEST(PoolConservation, HoldsUnderLinkFlapsAndSwitchCrash) {
   for (unsigned i = 0; i < topology.n_switches(); ++i) {
     registries.push_back(std::make_unique<verify::InvariantRegistry>());
     registries.back()->set_allow_revisits(true);
-    cfg.fabric.observers.push_back(registries.back().get());
+    cfg.fabric.subscribers.emplace_back().subscribe(registries.back().get());
   }
   const core::FabricExperimentResult r = core::run_fabric_experiment(cfg);
   EXPECT_GT(r.packets_sent, 0u);

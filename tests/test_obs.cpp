@@ -16,6 +16,7 @@
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "verify/invariants.hpp"
 
 using namespace sdnbuf;
 
@@ -250,7 +251,7 @@ TEST(FlowTracer, SamplingIsDeterministicAndSeeded) {
   EXPECT_GT(sampled, 100u);
   EXPECT_LT(sampled, 500u);
   EXPECT_TRUE(seeds_differ);
-  EXPECT_FALSE(t1.sampled(metrics::kUntrackedFlow));  // warm-up never traced
+  EXPECT_FALSE(t1.sampled(net::kUntrackedFlow));  // warm-up never traced
 }
 
 // End-to-end: trace every flow of a real run; spans must balance, and every
@@ -280,7 +281,9 @@ TEST(FlowTracer, SpansBalanceAndCoverCompletedFlows) {
 // --- The no-perturbation contract ------------------------------------------
 
 // Attaching every obs layer must not change a single simulated outcome:
-// obs-on and obs-off runs of the same seed agree bit-for-bit.
+// obs-on and obs-off runs of the same seed agree bit-for-bit. The observed
+// run puts the delay recorder, an invariant registry and the tracer on
+// switch 0's one fan-out.
 TEST(Observability, ObsOnRunIsBitIdenticalToObsOff) {
   const core::ExperimentResult plain = core::run_experiment(small_experiment(3));
 
@@ -288,11 +291,16 @@ TEST(Observability, ObsOnRunIsBitIdenticalToObsOff) {
   obs::TraceWriter trace_writer;
   obs::FlowTracer tracer{trace_writer, 3, 2};
   obs::EventLoopProfiler profiler;
+  verify::InvariantRegistry invariants;
   core::ExperimentConfig config = small_experiment(3);
   config.metrics = &registry;
   config.tracer = &tracer;
   config.profiler = &profiler;
+  config.testbed.observers.subscribe(&invariants);
   const core::ExperimentResult observed = core::run_experiment(config);
+  invariants.finalize(/*expect_all_delivered=*/true);
+  EXPECT_EQ(invariants.total_violations(), 0u) << invariants.report();
+  EXPECT_GT(invariants.events_observed(), 0u);
 
   EXPECT_EQ(plain.packets_sent, observed.packets_sent);
   EXPECT_EQ(plain.packets_delivered, observed.packets_delivered);
@@ -308,11 +316,12 @@ TEST(Observability, ObsOnRunIsBitIdenticalToObsOff) {
   EXPECT_EQ(plain.to_controller_mbps, observed.to_controller_mbps);
   EXPECT_EQ(plain.buffer_avg_units, observed.buffer_avg_units);
   EXPECT_EQ(plain.buffer_max_units, observed.buffer_max_units);
-  EXPECT_EQ(plain.setup_ms.count(), observed.setup_ms.count());
-  EXPECT_EQ(plain.setup_ms.mean(), observed.setup_ms.mean());
-  EXPECT_EQ(plain.controller_ms.mean(), observed.controller_ms.mean());
-  EXPECT_EQ(plain.switch_ms.mean(), observed.switch_ms.mean());
-  EXPECT_EQ(plain.forwarding_ms.mean(), observed.forwarding_ms.mean());
+  // Every delay sample, in order (exact doubles).
+  ASSERT_FALSE(plain.setup_ms.empty());
+  EXPECT_EQ(plain.setup_ms.values(), observed.setup_ms.values());
+  EXPECT_EQ(plain.controller_ms.values(), observed.controller_ms.values());
+  EXPECT_EQ(plain.switch_ms.values(), observed.switch_ms.values());
+  EXPECT_EQ(plain.forwarding_ms.values(), observed.forwarding_ms.values());
 
   // And the obs side actually observed things.
   EXPECT_GT(registry.snapshot_count(), 0u);

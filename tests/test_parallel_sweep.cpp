@@ -87,7 +87,7 @@ TEST(ParallelSweep, ObserverForcesSequentialPathAndStillMatches) {
   const SweepResult plain = run_sweep(sweep, "observed");
 
   verify::InvariantRegistry registry;
-  sweep.base.testbed.observer = &registry;
+  sweep.base.testbed.observers.subscribe(&registry);
   sweep.jobs = 8;
   const SweepResult observed = run_sweep(sweep, "observed");
 

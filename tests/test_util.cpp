@@ -347,6 +347,19 @@ TEST(SmallVector, GrowsOntoTheHeapPastInlineCapacity) {
   EXPECT_EQ(w, (SmallVector<int, 2>{7, 8, 7}));
 }
 
+TEST(SmallVector, ResizeValueInitializesNewElements) {
+  SmallVector<int, 4> v{5};
+  v.resize(3);
+  EXPECT_TRUE(v.is_inline());
+  EXPECT_EQ(v, (SmallVector<int, 4>{5, 0, 0}));
+  v[1] = 7;
+  v[2] = 8;
+  v.resize(1);
+  v.resize(6);  // past inline capacity; the dropped 7 and 8 come back as 0
+  EXPECT_FALSE(v.is_inline());
+  EXPECT_EQ(v, (SmallVector<int, 4>{5, 0, 0, 0, 0, 0}));
+}
+
 TEST(SmallVector, MoveStealsTheHeapBlockAndEmptiesTheSource) {
   SmallVector<int, 2> big{1, 2, 3, 4};
   const int* block = big.data();

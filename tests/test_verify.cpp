@@ -1,14 +1,17 @@
-// Tests for the invariant-checking layer (src/verify): registry unit tests
-// that deliberately break each invariant, a clean-run end-to-end check, the
-// same-seed determinism regression test, and a fuzzer smoke test.
+// Tests for the invariant-checking layer (src/verify): the observer fan-out,
+// registry unit tests that deliberately break each invariant, a clean-run
+// end-to-end check, the same-seed determinism regression test, and a fuzzer
+// smoke test.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "net/packet.hpp"
 #include "openflow/capture.hpp"
 #include "openflow/constants.hpp"
+#include "verify/fan_out.hpp"
 #include "verify/invariants.hpp"
 #include "verify/scenario_gen.hpp"
 
@@ -36,6 +39,148 @@ bool has_violation(const verify::InvariantRegistry& reg, const std::string& name
 sim::SimTime ms(long long v) { return sim::SimTime::milliseconds(v); }
 
 }  // namespace
+
+// --- ObserverFanOut ---------------------------------------------------------
+
+namespace {
+
+std::uint32_t xid_of(const of::OfMessage& msg) {
+  return std::visit([](const auto& m) { return m.xid; }, msg);
+}
+
+// Appends "<hook>:<name>:<key argument>" to a log shared by every subscriber,
+// so the log shows both which subscribers a hook reached and in what order.
+class LoggingObserver final : public verify::InvariantObserver {
+ public:
+  LoggingObserver(std::string name, std::vector<std::string>& log)
+      : name_(std::move(name)), log_(log) {}
+
+  void on_packet_injected(const net::Packet& p, sim::SimTime) override {
+    add("injected", p.flow_id);
+  }
+  void on_packet_delivered(const net::Packet& p, sim::SimTime) override {
+    add("delivered", p.flow_id);
+  }
+  void on_packet_dropped(const net::Packet& p, const char*, sim::SimTime) override {
+    add("dropped", p.flow_id);
+  }
+  void on_packet_arrival(std::uint64_t flow_id, sim::SimTime) override { add("arrival", flow_id); }
+  void on_packet_departure(std::uint64_t flow_id, sim::SimTime) override {
+    add("departure", flow_id);
+  }
+  void on_buffer_store(std::uint32_t id, const net::Packet&, bool, bool, sim::SimTime) override {
+    add("store", id);
+  }
+  void on_buffer_release(std::uint32_t id, const net::Packet&, sim::SimTime) override {
+    add("release", id);
+  }
+  void on_buffer_expire(std::uint32_t id, const net::Packet&, sim::SimTime) override {
+    add("expire", id);
+  }
+  void on_buffer_unit_retired(std::uint32_t id, sim::SimTime) override { add("retired", id); }
+  void on_packet_in_sent(std::uint32_t xid, const net::Packet&, std::uint32_t,
+                         sim::SimTime) override {
+    add("pkt_in", xid);
+  }
+  void on_response_arrival(std::uint64_t flow_id, sim::SimTime) override {
+    add("response", flow_id);
+  }
+  void on_pkt_in_dropped(std::uint32_t xid, std::uint32_t, sim::SimTime) override {
+    add("pkt_in_dropped", xid);
+  }
+  void on_control_message(bool, const of::OfMessage& msg, sim::SimTime) override {
+    add("control", xid_of(msg));
+  }
+  void on_channel_fault(bool, const of::OfMessage& msg, of::FaultKind, sim::SimTime) override {
+    add("fault", xid_of(msg));
+  }
+  void on_mmu_admit(std::uint32_t queue, std::uint64_t, std::uint64_t, std::uint64_t,
+                    std::uint64_t, sim::SimTime) override {
+    add("mmu_admit", queue);
+  }
+  void on_mmu_release(std::uint32_t queue, std::uint64_t, std::uint64_t, std::uint64_t,
+                      std::uint64_t, sim::SimTime) override {
+    add("mmu_release", queue);
+  }
+
+ private:
+  void add(const char* hook, std::uint64_t key) {
+    log_.push_back(std::string(hook) + ":" + name_ + ":" + std::to_string(key));
+  }
+
+  std::string name_;
+  std::vector<std::string>& log_;
+};
+
+}  // namespace
+
+TEST(ObserverFanOut, EveryHookReachesEverySubscriberInSubscriptionOrder) {
+  std::vector<std::string> log;
+  LoggingObserver a{"a", log};
+  LoggingObserver b{"b", log};
+  LoggingObserver c{"c", log};
+  verify::ObserverFanOut fan;
+  fan.subscribe(&a);
+  fan.subscribe(nullptr);  // ignored
+  fan.subscribe(&b);
+  fan.subscribe(&c);
+  ASSERT_EQ(fan.size(), 3u);
+
+  const net::Packet p = test_packet(7, 0);
+  const of::OfMessage msg = of::EchoRequest{9};
+  const sim::SimTime t = ms(1);
+  verify::InvariantObserver& obs = fan;
+  obs.on_packet_injected(p, t);
+  obs.on_packet_delivered(p, t);
+  obs.on_packet_dropped(p, "egress-queue", t);
+  obs.on_packet_arrival(7, t);
+  obs.on_packet_departure(7, t);
+  obs.on_buffer_store(3, p, true, false, t);
+  obs.on_buffer_release(3, p, t);
+  obs.on_buffer_expire(3, p, t);
+  obs.on_buffer_unit_retired(3, t);
+  obs.on_packet_in_sent(5, p, 3, t);
+  obs.on_response_arrival(7, t);
+  obs.on_pkt_in_dropped(5, 3, t);
+  obs.on_control_message(true, msg, t);
+  obs.on_channel_fault(true, msg, of::FaultKind::Loss, t);
+  obs.on_mmu_admit(2, 1, 4, 4, 4, t);
+  obs.on_mmu_release(2, 1, 4, 0, 0, t);
+
+  const std::vector<std::pair<const char*, int>> hooks = {
+      {"injected", 7},  {"delivered", 7}, {"dropped", 7},        {"arrival", 7},
+      {"departure", 7}, {"store", 3},     {"release", 3},        {"expire", 3},
+      {"retired", 3},   {"pkt_in", 5},    {"response", 7},       {"pkt_in_dropped", 5},
+      {"control", 9},   {"fault", 9},     {"mmu_admit", 2},      {"mmu_release", 2}};
+  std::vector<std::string> want;
+  for (const auto& [hook, key] : hooks) {
+    for (const char* name : {"a", "b", "c"}) {
+      want.push_back(std::string(hook) + ":" + name + ":" + std::to_string(key));
+    }
+  }
+  EXPECT_EQ(log, want);
+}
+
+TEST(ObserverFanOut, TargetSkipsTheFanOutForALoneSubscriber) {
+  std::vector<std::string> log;
+  LoggingObserver a{"a", log};
+  LoggingObserver b{"b", log};
+  verify::ObserverFanOut fan;
+  EXPECT_TRUE(fan.empty());
+  EXPECT_EQ(fan.target(), nullptr);
+  fan.subscribe(&a);
+  EXPECT_EQ(fan.target(), &a);
+  fan.subscribe(&b);
+  EXPECT_EQ(fan.target(), &fan);
+}
+
+TEST(ObserverFanOutDeathTest, RefusesSubscribersPastCapacity) {
+  std::vector<std::string> log;
+  LoggingObserver a{"a", log};
+  verify::ObserverFanOut fan;
+  for (std::size_t i = 0; i < verify::ObserverFanOut::kCapacity; ++i) fan.subscribe(&a);
+  EXPECT_DEATH(fan.subscribe(&a), "too many subscribers");
+}
 
 // The acceptance check for the whole layer: a deliberately broken buffer
 // lifecycle (double-release of a buffer_id) must be detected and named.
@@ -202,7 +347,7 @@ TEST(InvariantRegistryEndToEnd, CleanRunSatisfiesEveryInvariant) {
     cfg.n_flows = 40;
     cfg.packets_per_flow = 3;
     cfg.seed = 42;
-    cfg.testbed.observer = &reg;
+    cfg.testbed.observers.subscribe(&reg);
     const auto r = core::run_experiment(cfg);
     reg.finalize(r.drained);
     EXPECT_TRUE(r.drained) << sw::buffer_mode_name(mode);
